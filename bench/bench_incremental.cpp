@@ -261,18 +261,12 @@ int main(int argc, char** argv) {
   LegResult incremental;
   uint64_t shards_reused = 0;
   for (size_t rep = 0; rep < Reps(); ++rep) {
-    std::vector<counters::Sample> before = counters::Snapshot();
     StopWatch watch;
     auto run = ApplyDelta(*prior->snapshot, delta, options);
     double secs = watch.ElapsedSeconds();
     DIVA_CHECK_MSG(run.ok(), run.status().ToString());
     if (rep == 0) {
-      for (const counters::Sample& sample :
-           counters::Delta(before, counters::Snapshot())) {
-        if (sample.name == "incremental.shards_reused") {
-          shards_reused = sample.value;
-        }
-      }
+      shards_reused = run->report.shards_reused;
       DIVA_CHECK_MSG(run->snapshot != nullptr,
                      "incremental run did not re-capture a snapshot");
     }

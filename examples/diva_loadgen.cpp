@@ -24,9 +24,13 @@
 // terminal outcome, always 0), leaked_inflight (server in-flight after
 // Stop, always 0), unaudited_snapshots (always 0), protocol_errors.
 // exec_-prefixed keys (shed counts, retries, budget denials) vary with
-// scheduling and are never gated; *_ms / *_per_sec keys are timing.
+// scheduling and are never gated; *_ms / *_per_sec keys are timing,
+// among them server_<stage>_ms, the in-process server's mean time per
+// request in each stage (read, admission, lease, pipeline, publish,
+// write).
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -339,6 +343,26 @@ void AppendJson(std::string* out, const ScenarioResult& result) {
   add("latency_p50_ms", Percentile(t.latencies_ms, 0.50), false);
   add("latency_p99_ms", Percentile(t.latencies_ms, 0.99), false);
   add("wall_seconds", result.wall_seconds, false);
+  if (result.have_server_side) {
+    // Server-side breakdown: mean time per request in each stage, over
+    // every verb the server answered (serve/server.h, Stage).
+    uint64_t answered = 0;
+    std::array<double, serve::kNumStages> stage_ms{};
+    for (const serve::VerbTotals& totals : result.server_stats.verbs) {
+      answered += totals.requests;
+      for (size_t stage = 0; stage < serve::kNumStages; ++stage) {
+        stage_ms[stage] += totals.stage_ms[stage];
+      }
+    }
+    for (size_t stage = 0; stage < serve::kNumStages; ++stage) {
+      const std::string key =
+          std::string("server_") +
+          serve::StageName(static_cast<serve::Stage>(stage)) + "_ms";
+      add(key.c_str(),
+          answered > 0 ? stage_ms[stage] / static_cast<double>(answered) : 0.0,
+          false);
+    }
+  }
   std::snprintf(buffer, sizeof(buffer), "    \"throughput_per_sec\": %.2f\n",
                 result.wall_seconds > 0.0
                     ? static_cast<double>(t.ok) / result.wall_seconds

@@ -167,6 +167,12 @@ struct DivaReport {
   /// coloring entirely and flow to the baseline phase.
   size_t residual_rows = 0;
 
+  /// Components ApplyDelta adopted from the prior snapshot, and the ones
+  /// it colored afresh (reused + recolored == shards). A cold RunDiva
+  /// leaves both 0.
+  size_t shards_reused = 0;
+  size_t shards_recolored = 0;
+
   /// Tuples covered by the diverse clustering S_Sigma.
   size_t sigma_rows = 0;
   /// Cells suppressed by the Integrate repair.

@@ -341,6 +341,8 @@ Result<DivaResult> ApplyDelta(const PipelineSnapshot& prior,
   // All-or-nothing merge: a fault here discards the fully built result,
   // so callers never observe partially merged output.
   DIVA_RETURN_IF_ERROR(DIVA_FAIL("delta.merge"));
+  result.report.shards_reused = reused_shards;
+  result.report.shards_recolored = plan.shards.size() - reused_shards;
 
   if (snapshot->valid) {
     FinalizeSnapshot(snapshot.get(), post, constraints, options,

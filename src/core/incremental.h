@@ -153,8 +153,10 @@ void FinalizeSnapshot(PipelineSnapshot* snapshot, const Relation& input,
 /// adopt the snapshot's records), and runs the downstream phases. The
 /// result — relation bytes, report counters, audit — is byte-identical
 /// to RunDiva on the post-delta relation with the same options, at
-/// every thread width. The returned DivaResult carries a fresh snapshot
-/// for the post-delta relation, so deltas chain.
+/// every thread width; only DivaReport::shards_reused/shards_recolored,
+/// which count this call's reuse, differ. The returned DivaResult
+/// carries a fresh snapshot for the post-delta relation, so deltas
+/// chain.
 ///
 /// `options` must describe the same run configuration the snapshot was
 /// captured under (fingerprint-checked); on mismatch every component is

@@ -36,6 +36,7 @@ Result<Client> Client::Connect(const std::string& host, int port) {
     ::close(fd);
     return status;
   }
+  DisableNagle(fd);
   // No call may block forever: a server that dies (or drains) without
   // answering surfaces as a timed-out read — kUnavailable via Call —
   // instead of a wedged client.

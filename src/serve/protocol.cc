@@ -4,8 +4,11 @@
 #include <cstdlib>
 #include <cstring>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/types.h>
+#include <sys/uio.h>
 
 #include "common/failpoint.h"
 
@@ -13,22 +16,6 @@ namespace diva {
 namespace serve {
 
 namespace {
-
-/// send() with MSG_NOSIGNAL so a hung-up peer yields EPIPE instead of a
-/// process-killing SIGPIPE, looping over short writes and EINTR.
-Status SendAll(int fd, const char* data, size_t size) {
-  size_t sent = 0;
-  while (sent < size) {
-    ssize_t n = ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError(std::string("send failed: ") +
-                             std::strerror(errno));
-    }
-    sent += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
 
 /// recv() into `data`, looping over short reads and EINTR. Returns the
 /// bytes read; fewer than `size` only at EOF.
@@ -63,8 +50,48 @@ Status WriteFrame(int fd, const std::string& payload) {
                     static_cast<char>((size >> 16) & 0xff),
                     static_cast<char>((size >> 8) & 0xff),
                     static_cast<char>(size & 0xff)};
-  DIVA_RETURN_IF_ERROR(SendAll(fd, header, sizeof(header)));
-  return SendAll(fd, payload.data(), payload.size());
+  // Header and payload leave in one sendmsg: two sends would put a
+  // 4-byte segment on the wire alone, and Nagle then holds the payload
+  // until the peer's delayed ACK (~40 ms) releases it. The payload is
+  // referenced in place, never copied — a fetch frame is a whole CSV.
+  iovec iov[2];
+  iov[0].iov_base = header;
+  iov[0].iov_len = sizeof(header);
+  iov[1].iov_base = const_cast<char*>(payload.data());
+  iov[1].iov_len = payload.size();
+  msghdr message;
+  std::memset(&message, 0, sizeof(message));
+  message.msg_iov = iov;
+  message.msg_iovlen = payload.empty() ? 1 : 2;
+  while (message.msg_iovlen > 0) {
+    // MSG_NOSIGNAL: a hung-up peer yields EPIPE instead of a
+    // process-killing SIGPIPE.
+    ssize_t n = ::sendmsg(fd, &message, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Status::IoError(std::string("send failed: ") +
+                             std::strerror(errno));
+    }
+    // Short write: drop the iovecs sent in full, then advance into the
+    // first one sent in part.
+    size_t sent = static_cast<size_t>(n);
+    while (message.msg_iovlen > 0 && sent >= message.msg_iov[0].iov_len) {
+      sent -= message.msg_iov[0].iov_len;
+      ++message.msg_iov;
+      --message.msg_iovlen;
+    }
+    if (message.msg_iovlen > 0) {
+      message.msg_iov[0].iov_base =
+          static_cast<char*>(message.msg_iov[0].iov_base) + sent;
+      message.msg_iov[0].iov_len -= sent;
+    }
+  }
+  return Status::OK();
+}
+
+void DisableNagle(int fd) {
+  int on = 1;
+  (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &on, sizeof(on));
 }
 
 Result<std::string> ReadFrame(int fd, size_t max_bytes) {

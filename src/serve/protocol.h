@@ -15,8 +15,9 @@ namespace serve {
 ///
 /// Transport: length-prefixed frames over a stream socket. Each frame is
 /// a 4-byte big-endian payload length followed by that many bytes of
-/// UTF-8 text. One request frame yields exactly one response frame;
-/// requests on one connection are processed strictly in order.
+/// UTF-8 text, sent in one write with TCP_NODELAY on both ends. One
+/// request frame yields exactly one response frame; requests on one
+/// connection are processed strictly in order.
 ///
 /// Payload: a header line, then an optional body separated by one blank
 /// line. Requests:  `verb key=value key=value ...`. Responses:
@@ -29,9 +30,17 @@ namespace serve {
 /// server's memory. Callers can pass a tighter cap.
 inline constexpr size_t kDefaultMaxFrameBytes = 1u << 26;  // 64 MiB
 
-/// Writes one frame. Handles short writes and EINTR; never raises
+/// Writes one frame: header and payload in one sendmsg of two iovecs
+/// (looping over short writes and EINTR), so a frame is never split into
+/// a header-only segment that Nagle would hold back. Never raises
 /// SIGPIPE (the peer hanging up surfaces as an IoError Status).
 [[nodiscard]] Status WriteFrame(int fd, const std::string& payload);
+
+/// Sets TCP_NODELAY on a connected socket. Both ends of every serve
+/// connection call it: a request/response protocol has nothing to batch,
+/// and with Nagle on, each small frame waits out the peer's delayed ACK.
+/// Best effort — a non-TCP socket (a socketpair in tests) ignores it.
+void DisableNagle(int fd);
 
 /// Reads one frame. A clean EOF before any length byte returns NotFound
 /// (the sentinel for "peer closed between frames" — not an error for a

@@ -1,6 +1,7 @@
 #include "serve/server.h"
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -15,7 +16,6 @@
 #include <sys/time.h>
 #include <unistd.h>
 
-#include "common/counters.h"
 #include "common/failpoint.h"
 #include "common/timer.h"
 #include "core/incremental.h"
@@ -32,7 +32,10 @@ namespace {
 /// after this long instead of wedging it past the drain grace.
 constexpr double kSocketTimeoutSeconds = 1.0;
 
-void SetSocketTimeouts(int fd) {
+/// Stall guards plus TCP_NODELAY (serve/protocol.h) on an accepted
+/// socket.
+void ConfigureAcceptedSocket(int fd) {
+  DisableNagle(fd);
   timeval tv;
   tv.tv_sec = static_cast<long>(kSocketTimeoutSeconds);
   tv.tv_usec = static_cast<long>(
@@ -55,7 +58,59 @@ std::string FormatMs(double ms) {
   return buffer;
 }
 
+/// Stage times are sub-millisecond for cheap verbs (a ping's read is
+/// tens of microseconds), so they keep microsecond resolution.
+std::string FormatStageMs(double ms) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), "%.3f", ms);
+  return buffer;
+}
+
+/// Indexed by Stage and by Verb.
+constexpr const char* kStageNames[kNumStages] = {
+    "read", "admission", "lease", "pipeline", "publish", "write"};
+constexpr const char* kVerbNames[kNumVerbs] = {
+    "ping", "stats", "fetch", "anonymize", "verify", "update", "other"};
+
+/// Maps a request verb to its Verb (kOther when unknown).
+Verb ParseVerb(const std::string& name) {
+  for (size_t v = 0; v + 1 < kNumVerbs; ++v) {
+    if (name == kVerbNames[v]) return static_cast<Verb>(v);
+  }
+  return Verb::kOther;
+}
+
 }  // namespace
+
+const char* StageName(Stage stage) {
+  return kStageNames[static_cast<size_t>(stage)];
+}
+
+/// Charges a request's server-side wall to its stages: each Mark closes
+/// the interval since the previous mark (the clock's start, for the
+/// first) and adds it to one stage. The intervals tile the wall, so the
+/// stage times of a request add up to it. Owned by the session thread
+/// serving the request.
+class StageClock {
+ public:
+  StageClock() : last_(MonotonicSeconds()) {}
+
+  void Mark(Stage stage) {
+    const double now = MonotonicSeconds();
+    const size_t index = static_cast<size_t>(stage);
+    ms_[index] += (now - last_) * 1e3;
+    reached_[index] = true;
+    last_ = now;
+  }
+
+  bool reached(size_t stage) const { return reached_[stage]; }
+  double ms(size_t stage) const { return ms_[stage]; }
+
+ private:
+  double last_;
+  std::array<double, kNumStages> ms_{};
+  std::array<bool, kNumStages> reached_{};
+};
 
 Server::Server(Relation base, ConstraintSet constraints, ServerOptions options)
     : constraints_(std::move(constraints)),
@@ -210,7 +265,7 @@ void Server::AcceptLoop() {
     if (ready <= 0) continue;
     int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
-    SetSocketTimeouts(fd);
+    ConfigureAcceptedSocket(fd);
     {
       MutexLock lock(stats_mutex_);
       ++stats_.accepted_connections;
@@ -315,6 +370,7 @@ void Server::HandleConnection(int fd) {
     int ready = ::poll(&pfd, 1, 50);
     if (ready < 0) return;
     if (ready == 0) continue;
+    StageClock clock;
     auto frame = ReadFrame(fd, options_.max_frame_bytes);
     if (!frame.ok()) {
       // NotFound = the peer closed between frames (normal); anything
@@ -326,52 +382,83 @@ void Server::HandleConnection(int fd) {
       return;
     }
     auto request = ParseRequest(*frame);
+    clock.Mark(Stage::kRead);
     if (!request.ok()) {
       {
         MutexLock lock(stats_mutex_);
         ++stats_.protocol_errors;
       }
-      if (!Respond(fd, Response::Error(request.status()))) return;
+      Response error = Response::Error(request.status());
+      if (!Respond(fd, Verb::kOther, &clock, &error)) return;
       continue;
     }
     {
       MutexLock lock(stats_mutex_);
       ++stats_.requests;
     }
-    if (!HandleRequest(fd, *request)) return;
+    if (!HandleRequest(fd, *request, &clock)) return;
   }
 }
 
-bool Server::HandleRequest(int fd, const Request& request) {
+bool Server::HandleRequest(int fd, const Request& request,
+                           StageClock* clock) {
+  const Verb verb = ParseVerb(request.verb);
   Response response;
-  if (request.verb == "ping") {
-    response.fields["server"] = "diva";
-  } else if (request.verb == "stats") {
-    response = HandleStats(request);
-  } else if (request.verb == "fetch") {
-    response = HandleFetch(request);
-  } else if (request.verb == "anonymize") {
-    response = HandleAnonymize(request);
-  } else if (request.verb == "verify") {
-    response = HandleVerify(request);
-  } else if (request.verb == "update") {
-    response = HandleUpdate(request);
-  } else {
-    response = Response::Error(Status::InvalidArgument(
-        "unknown verb '" + request.verb +
-        "' (ping|stats|fetch|anonymize|verify|update)"));
+  switch (verb) {
+    case Verb::kPing:
+      response.fields["server"] = "diva";
+      break;
+    case Verb::kStats:
+      response = HandleStats(request);
+      break;
+    case Verb::kFetch:
+      response = HandleFetch(request, clock);
+      break;
+    case Verb::kAnonymize:
+      response = HandleAnonymize(request, clock);
+      break;
+    case Verb::kVerify:
+      response = HandleVerify(request, clock);
+      break;
+    case Verb::kUpdate:
+      response = HandleUpdate(request, clock);
+      break;
+    case Verb::kOther:
+      response = Response::Error(Status::InvalidArgument(
+          "unknown verb '" + request.verb +
+          "' (ping|stats|fetch|anonymize|verify|update)"));
+      break;
   }
   // A failed write ends the connection (the caller closes it): the peer
   // is left with a hangup instead of a silent socket, which its client
   // maps to a retryable shed.
-  return Respond(fd, response);
+  return Respond(fd, verb, clock, &response);
 }
 
-bool Server::Respond(int fd, const Response& response) {
+bool Server::Respond(int fd, Verb verb, StageClock* clock,
+                     Response* response) {
+  // Only ok responses carry fields on the wire. Time since the last
+  // finished stage is not stamped: it belongs to the write stage.
+  if (response->ok) {
+    double server_ms = 0.0;
+    for (size_t stage = 0; stage < kNumStages; ++stage) {
+      if (!clock->reached(stage)) continue;
+      response->fields[std::string("stage_") + kStageNames[stage] + "_ms"] =
+          FormatStageMs(clock->ms(stage));
+      server_ms += clock->ms(stage);
+    }
+    response->fields["server_ms"] = FormatStageMs(server_ms);
+  }
   Status fault = DIVA_FAIL("serve.respond");
   Status written =
-      fault.ok() ? WriteFrame(fd, EncodeResponse(response)) : fault;
+      fault.ok() ? WriteFrame(fd, EncodeResponse(*response)) : fault;
+  clock->Mark(Stage::kWrite);
   MutexLock lock(stats_mutex_);
+  VerbTotals& totals = stats_.verbs[static_cast<size_t>(verb)];
+  ++totals.requests;
+  for (size_t stage = 0; stage < kNumStages; ++stage) {
+    totals.stage_ms[stage] += clock->ms(stage);
+  }
   if (written.ok()) {
     ++stats_.responses;
     return true;
@@ -401,7 +488,7 @@ void Server::UnregisterInflight(uint64_t id) {
 }
 
 Response Server::AdmitAndRun(
-    const Request& request,
+    const Request& request, StageClock* clock,
     const std::function<Response(CancellationToken)>& run) {
   auto deadline_ms = request.IntParam("deadline_ms", -1);
   if (!deadline_ms.ok()) return Response::Error(deadline_ms.status());
@@ -416,6 +503,7 @@ Response Server::AdmitAndRun(
         DecideAdmission(queued(), inflight(), options_.queue_capacity,
                         cost_tracker_.EstimateMs(), *deadline_ms, draining());
   }
+  clock->Mark(Stage::kAdmission);
   if (!decision.admit) {
     {
       MutexLock lock(stats_mutex_);
@@ -452,6 +540,7 @@ Response Server::AdmitAndRun(
                                 : Deadline::Infinite();
   CancellationToken request_token =
       CancellationToken::WithDeadlineAndParent(deadline, watchdog_token);
+  clock->Mark(Stage::kAdmission);
   StopWatch watch;
   Response response = run(request_token);
   cost_tracker_.Record(watch.ElapsedMillis());
@@ -497,8 +586,8 @@ void Server::EndUpdate() {
   state_cv_.NotifyAll();
 }
 
-Response Server::HandleAnonymize(const Request& request) {
-  return AdmitAndRun(request, [&](CancellationToken token) -> Response {
+Response Server::HandleAnonymize(const Request& request, StageClock* clock) {
+  return AdmitAndRun(request, clock, [&](CancellationToken token) -> Response {
     DivaOptions diva_options;
     auto k = request.IntParam("k", static_cast<int64_t>(diva_options.k));
     if (!k.ok()) return Response::Error(k.status());
@@ -539,8 +628,10 @@ Response Server::HandleAnonymize(const Request& request) {
     // The lease keeps `update` from swapping the base (or interning into
     // its shared dictionaries) while this run reads it.
     auto lease = BeginRead(token);
+    clock->Mark(Stage::kLease);
     if (!lease.ok()) return Response::Error(lease.status());
     auto result = RunDiva(lease->relation(), constraints_, diva_options);
+    clock->Mark(Stage::kPipeline);
     if (!result.ok()) return Response::Error(result.status());
 
     const DivaReport& report = result->report;
@@ -565,6 +656,7 @@ Response Server::HandleAnonymize(const Request& request) {
       ++stats_.snapshots_published;
       if (degraded) ++stats_.degraded;
     }
+    clock->Mark(Stage::kPublish);
     Response response;
     response.fields["snapshot"] = std::to_string(*published);
     response.fields["rows"] = std::to_string(rows);
@@ -586,8 +678,8 @@ Response Server::HandleAnonymize(const Request& request) {
   });
 }
 
-Response Server::HandleVerify(const Request& request) {
-  return AdmitAndRun(request, [&](CancellationToken token) -> Response {
+Response Server::HandleVerify(const Request& request, StageClock* clock) {
+  return AdmitAndRun(request, clock, [&](CancellationToken token) -> Response {
     auto id = request.IntParam(
         "snapshot", static_cast<int64_t>(snapshots_.latest_id()));
     if (!id.ok()) return Response::Error(id.status());
@@ -605,6 +697,7 @@ Response Server::HandleVerify(const Request& request) {
     // (it may predate an update); the lease still blocks concurrent
     // dictionary interning, which old bases share with the live one.
     auto lease = BeginRead(token);
+    clock->Mark(Stage::kLease);
     if (!lease.ok()) return Response::Error(lease.status());
     const Relation& original = snapshot->source != nullptr
                                    ? *snapshot->source
@@ -614,6 +707,7 @@ Response Server::HandleVerify(const Request& request) {
     auto audit = AuditAnonymization(original, snapshot->relation,
                                     static_cast<size_t>(*k), constraints_,
                                     audit_options);
+    clock->Mark(Stage::kPipeline);
     if (!audit.ok()) return Response::Error(audit.status());
 
     Response response;
@@ -629,7 +723,7 @@ Response Server::HandleVerify(const Request& request) {
   });
 }
 
-Response Server::HandleFetch(const Request& request) {
+Response Server::HandleFetch(const Request& request, StageClock* clock) {
   auto id = request.IntParam("snapshot",
                              static_cast<int64_t>(snapshots_.latest_id()));
   if (!id.ok()) return Response::Error(id.status());
@@ -643,6 +737,7 @@ Response Server::HandleFetch(const Request& request) {
   // Published relations share dictionaries with the served base; the
   // lease keeps an update from interning into them mid-encode.
   auto lease = BeginRead(CancellationToken());
+  clock->Mark(Stage::kLease);
   if (!lease.ok()) return Response::Error(lease.status());
   std::ostringstream csv;
   Status written = WriteCsv(snapshot->relation, csv);
@@ -653,11 +748,12 @@ Response Server::HandleFetch(const Request& request) {
   response.fields["audited"] = snapshot->audited ? "1" : "0";
   response.fields["degraded"] = snapshot->degraded ? "1" : "0";
   response.body = csv.str();
+  clock->Mark(Stage::kPipeline);
   return response;
 }
 
-Response Server::HandleUpdate(const Request& request) {
-  return AdmitAndRun(request, [&](CancellationToken token) -> Response {
+Response Server::HandleUpdate(const Request& request, StageClock* clock) {
+  return AdmitAndRun(request, clock, [&](CancellationToken token) -> Response {
     if (request.body.empty()) {
       return Response::Error(Status::InvalidArgument(
           "update needs a delta body: `- <row>` / `+ <csv row>` lines "
@@ -700,14 +796,16 @@ Response Server::HandleUpdate(const Request& request) {
     diva_options.cancel = token;
 
     Status exclusive = BeginUpdate(token);
+    clock->Mark(Stage::kLease);
     if (!exclusive.ok()) return Response::Error(exclusive);
-    Response response = RunUpdate(*delta, diva_options);
+    Response response = RunUpdate(*delta, diva_options, clock);
     EndUpdate();
     return response;
   });
 }
 
-Response Server::RunUpdate(const DeltaBatch& delta, DivaOptions& options) {
+Response Server::RunUpdate(const DeltaBatch& delta, DivaOptions& options,
+                           StageClock* clock) {
   std::shared_ptr<const Relation> base;
   std::shared_ptr<const PipelineSnapshot> prior;
   {
@@ -722,25 +820,13 @@ Response Server::RunUpdate(const DeltaBatch& delta, DivaOptions& options) {
   // relation (core/incremental.h).
   const bool incremental = prior != nullptr;
   std::shared_ptr<const Relation> post;
-  uint64_t shards_reused = 0;
   Result<DivaResult> run = [&]() -> Result<DivaResult> {
-    if (incremental) {
-      std::vector<counters::Sample> before = counters::Snapshot();
-      auto replayed = ApplyDelta(*prior, delta, options);
-      if (replayed.ok()) {
-        for (const counters::Sample& sample :
-             counters::Delta(before, counters::Snapshot())) {
-          if (sample.name == "incremental.shards_reused") {
-            shards_reused = sample.value;
-          }
-        }
-      }
-      return replayed;
-    }
+    if (incremental) return ApplyDelta(*prior, delta, options);
     DIVA_ASSIGN_OR_RETURN(Relation applied, ApplyDeltaToRelation(*base, delta));
     post = std::make_shared<const Relation>(std::move(applied));
     return RunDiva(*post, constraints_, options);
   }();
+  clock->Mark(Stage::kPipeline);
   if (!run.ok()) return Response::Error(run.status());
 
   // The base the swapped state serves next: the captured snapshot's
@@ -757,6 +843,7 @@ Response Server::RunUpdate(const DeltaBatch& delta, DivaOptions& options) {
       post = std::make_shared<const Relation>(std::move(*applied));
     }
   }
+  clock->Mark(Stage::kPipeline);
 
   // Publish-or-refuse: nothing below mutates served state until the
   // audited snapshot is actually in the store. Any failure — audit,
@@ -795,6 +882,7 @@ Response Server::RunUpdate(const DeltaBatch& delta, DivaOptions& options) {
     ++stats_.updates;
     if (degraded) ++stats_.degraded;
   }
+  clock->Mark(Stage::kPublish);
 
   Response response;
   response.fields["snapshot"] = std::to_string(*published);
@@ -802,7 +890,7 @@ Response Server::RunUpdate(const DeltaBatch& delta, DivaOptions& options) {
   response.fields["rows_deleted"] = std::to_string(delta.deleted.size());
   response.fields["rows_inserted"] = std::to_string(delta.inserted.size());
   response.fields["incremental"] = incremental ? "1" : "0";
-  response.fields["shards_reused"] = std::to_string(shards_reused);
+  response.fields["shards_reused"] = std::to_string(report.shards_reused);
   response.fields["audited"] = report.audited ? "1" : "0";
   response.fields["degraded"] = degraded ? "1" : "0";
   response.fields["unsatisfied"] = std::to_string(report.unsatisfied.size());
@@ -838,6 +926,16 @@ Response Server::HandleStats(const Request&) {
   response.fields["cost_estimate_ms"] =
       FormatMs(cost_tracker_.EstimateMs());
   response.fields["draining"] = draining() ? "1" : "0";
+  for (size_t verb = 0; verb < kNumVerbs; ++verb) {
+    const VerbTotals& totals = snapshot.verbs[verb];
+    if (totals.requests == 0) continue;
+    const std::string prefix = std::string("verb_") + kVerbNames[verb] + "_";
+    response.fields[prefix + "requests"] = std::to_string(totals.requests);
+    for (size_t stage = 0; stage < kNumStages; ++stage) {
+      response.fields[prefix + kStageNames[stage] + "_ms"] =
+          FormatStageMs(totals.stage_ms[stage]);
+    }
+  }
   return response;
 }
 

@@ -1,6 +1,7 @@
 #ifndef DIVA_SERVE_SERVER_H_
 #define DIVA_SERVE_SERVER_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -80,6 +81,44 @@ struct ServerOptions {
   std::function<void(const std::string&)> logger;
 };
 
+/// The stages a served request's time is charged to, in order. The
+/// server-side wall of a request runs from its frame being readable to
+/// its response being written, and every instant of it belongs to
+/// exactly one stage, so the stage times of a request add up to that
+/// wall (docs/serving.md, "Request timing").
+enum class Stage : size_t {
+  kRead,       // frame read + request parse
+  kAdmission,  // admission decision and in-flight registration
+  kLease,      // waiting for the served-state lease (BeginRead/BeginUpdate)
+  kPipeline,   // the verb's work: RunDiva / ApplyDelta / the audit / CSV
+  kPublish,    // snapshot publication (and the base swap of an update)
+  kWrite,      // response encode + frame write
+};
+inline constexpr size_t kNumStages = 6;
+
+/// "read", "admission", "lease", "pipeline", "publish", "write".
+const char* StageName(Stage stage);
+
+/// The verbs `ServerStats` keeps totals for. Unknown verbs and
+/// unparsable frames are counted as kOther.
+enum class Verb : size_t {
+  kPing,
+  kStats,
+  kFetch,
+  kAnonymize,
+  kVerify,
+  kUpdate,
+  kOther,
+};
+inline constexpr size_t kNumVerbs = 7;
+
+/// Per-verb timing totals: requests answered (or whose response write
+/// failed) and their summed time per stage, write included.
+struct VerbTotals {
+  uint64_t requests = 0;
+  std::array<double, kNumStages> stage_ms{};
+};
+
 /// Monotone request accounting, copyable snapshot. The chaos-suite
 /// invariant is `requests == responses + response_failures` after
 /// quiesce: every parsed request ends in a terminal response or a clean
@@ -106,7 +145,12 @@ struct ServerStats {
   uint64_t snapshots_published = 0;
   /// `update` requests that published (the served base was swapped).
   uint64_t updates = 0;
+  /// Timing totals indexed by Verb. Over all verbs, `requests` sums to
+  /// requests + protocol_errors.
+  std::array<VerbTotals, kNumVerbs> verbs{};
 };
+
+class StageClock;
 
 /// The anonymization service: loads one relation at construction, serves
 /// anonymize / verify / fetch / stats / ping / update requests over the
@@ -184,8 +228,9 @@ class Server {
   /// Dispatches one parsed request and writes its terminal response.
   /// Returns false when the response write failed — the connection must
   /// be closed (a peer left on a silent socket would wait out its whole
-  /// timeout for a response that is never coming).
-  bool HandleRequest(int fd, const Request& request);
+  /// timeout for a response that is never coming). `clock` started when
+  /// the request's frame became readable.
+  bool HandleRequest(int fd, const Request& request, StageClock* clock);
 
   /// A shared lease on the served state: holds the base relation alive
   /// and keeps `update` out until destroyed. Move-only.
@@ -231,26 +276,29 @@ class Server {
   [[nodiscard]] Status BeginUpdate(const CancellationToken& token);
   void EndUpdate();
 
-  Response HandleAnonymize(const Request& request);
-  Response HandleVerify(const Request& request);
-  Response HandleFetch(const Request& request);
+  Response HandleAnonymize(const Request& request, StageClock* clock);
+  Response HandleVerify(const Request& request, StageClock* clock);
+  Response HandleFetch(const Request& request, StageClock* clock);
   Response HandleStats(const Request& request);
-  Response HandleUpdate(const Request& request);
+  Response HandleUpdate(const Request& request, StageClock* clock);
 
   /// The body of HandleUpdate, run between BeginUpdate/EndUpdate:
   /// re-anonymizes the post-delta relation (incrementally when a prior
   /// snapshot chains), audits, publishes-or-refuses, and swaps the
   /// served state only after publication succeeded.
-  Response RunUpdate(const DeltaBatch& delta, DivaOptions& options);
+  Response RunUpdate(const DeltaBatch& delta, DivaOptions& options,
+                     StageClock* clock);
 
   /// Admission + execution wrapper shared by the work verbs.
-  Response AdmitAndRun(const Request& request,
+  Response AdmitAndRun(const Request& request, StageClock* clock,
                        const std::function<Response(CancellationToken)>& run);
 
-  /// Writes `response` and returns whether the write succeeded. A failed
-  /// write is recorded (response_failures) and the caller must close the
-  /// connection. Failpoint: serve.respond.
-  bool Respond(int fd, const Response& response);
+  /// Stamps the finished stages of `clock` onto an ok `response`
+  /// (`stage_<name>_ms`, `server_ms`), writes it, and records the
+  /// request's stage times under `verb`. Returns whether the write
+  /// succeeded; a failed write is recorded (response_failures) and the
+  /// caller must close the connection. Failpoint: serve.respond.
+  bool Respond(int fd, Verb verb, StageClock* clock, Response* response);
 
   uint64_t RegisterInflight(int64_t deadline_ms, CancellationToken* token);
   void UnregisterInflight(uint64_t id);

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <map>
+#include <ostream>
 
 #include "datagen/profiles.h"
 #include "datagen/synthetic.h"
@@ -142,6 +143,13 @@ struct ProfileCase {
   size_t attrs;
   size_t qi_projections;  // Table 4 target
 };
+
+// Printed into the test names; without it gtest dumps the raw bytes,
+// including the struct's uninitialized padding, so names vary per build.
+void PrintTo(const ProfileCase& c, std::ostream* os) {
+  *os << "rows=" << c.rows << " attrs=" << c.attrs
+      << " qi=" << c.qi_projections;
+}
 
 class ProfileTest : public ::testing::TestWithParam<ProfileCase> {};
 

@@ -4,14 +4,28 @@
 // a loopback socket — including the deadline edge cases: a 0 ms deadline
 // admitted on an idle server still yields an audited degraded response,
 // and a wedged request tripped by the watchdog degrades instead of
-// hanging. Fault-injection sweeps live in serve_chaos_test.cc.
+// hanging. The transport tests pin the one-write-per-frame rule: a
+// loopback round trip stays far below the 40 ms delayed-ACK stall, and a
+// frame survives partial writes intact. Fault-injection sweeps live in
+// serve_chaos_test.cc; the seeded wire-input fuzz loop lives in
+// serve_fuzz_test.cc.
 
+#include <algorithm>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
+
 #include "common/backoff.h"
 #include "common/failpoint.h"
+#include "common/mutex.h"
+#include "common/parallel.h"
 #include "common/status.h"
+#include "common/timer.h"
+#include "core/incremental.h"
 #include "gtest/gtest.h"
 #include "serve/admission.h"
 #include "serve/client.h"
@@ -509,6 +523,125 @@ TEST(ServeServerTest, UpdateAppliesDeltaChainsIncrementallyAndVerifies) {
             final_stats.responses + final_stats.response_failures);
 }
 
+TEST(ServeServerTest, UpdateReportsTheShardsReusedOfItsOwnDelta) {
+  // Two disjoint components (ETH[Asian] rows 7-9, PRV[AB] rows 0-2); the
+  // second delta deletes an AB row, so the Asian component stays clean.
+  auto schema = MedicalSchema();
+  const std::string sigma = "ETH[Asian] in [2,5]\nPRV[AB] in [1,3]\n";
+  auto constraints = ParseConstraintSet(*schema, sigma);
+  ASSERT_TRUE(constraints.ok()) << constraints.status().ToString();
+  Server server(MedicalRelation(), *constraints, TestOptions());
+  ASSERT_TRUE(server.Start().ok());
+  auto client = Client::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok());
+
+  const std::string first_body = "- 3\n+ Male,Caucasian,46,MB,Winnipeg,Migraine\n";
+  const std::string second_body = "- 0\n";
+  Request update;
+  update.verb = "update";
+  update.params["k"] = "2";
+  update.body = first_body;
+  auto first = client->Call(update);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(first->ok) << first->ToStatus().ToString();
+  EXPECT_EQ(first->Field("shards_reused", ""), "0");  // cold: no chain yet
+  update.body = second_body;
+  auto second = client->Call(update);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  ASSERT_TRUE(second->ok) << second->ToStatus().ToString();
+  ASSERT_EQ(second->Field("incremental", ""), "1");
+  server.Stop();
+
+  // The same two deltas replayed in-process with the server's options.
+  DivaOptions options;
+  options.k = 2;
+  options.seed = TestOptions().seed;
+  options.baseline = BaselineAlgorithm::kKMember;
+  options.threads = TestOptions().pipeline_threads;
+  options.shard = true;
+  options.incremental = true;
+  options.audit = true;
+  auto first_delta = ParseDeltaFile(first_body);
+  auto second_delta = ParseDeltaFile(second_body);
+  ASSERT_TRUE(first_delta.ok() && second_delta.ok());
+  auto post = ApplyDeltaToRelation(MedicalRelation(), *first_delta);
+  ASSERT_TRUE(post.ok()) << post.status().ToString();
+  auto cold = RunDiva(*post, *constraints, options);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  ASSERT_NE(cold->snapshot, nullptr);
+  auto replayed = ApplyDelta(*cold->snapshot, *second_delta, options);
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+
+  const DivaReport& report = replayed->report;
+  EXPECT_EQ(report.shards_reused, 1u);
+  EXPECT_EQ(report.shards_reused + report.shards_recolored, report.shards);
+  EXPECT_EQ(second->Field("shards_reused", ""),
+            std::to_string(report.shards_reused));
+}
+
+TEST(ServeServerTest, ResponsesCarryStageTimesThatAddUpToServerTime) {
+  Server server(MedicalRelation(), MedicalConstraints(*MedicalSchema()),
+                TestOptions());
+  ASSERT_TRUE(server.Start().ok());
+  auto client = Client::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok());
+
+  Request anonymize;
+  anonymize.verb = "anonymize";
+  anonymize.params["k"] = "2";
+  StopWatch watch;
+  auto published = client->Call(anonymize);
+  const double round_trip_ms = watch.ElapsedMillis();
+  ASSERT_TRUE(published.ok()) << published.status().ToString();
+  ASSERT_TRUE(published->ok) << published->ToStatus().ToString();
+
+  // Every stage that finishes before the response is encoded is stamped;
+  // the write stage is not (it is still running).
+  double stage_sum = 0.0;
+  for (const char* stage :
+       {"read", "admission", "lease", "pipeline", "publish"}) {
+    const std::string key = std::string("stage_") + stage + "_ms";
+    const std::string value = published->Field(key, "");
+    ASSERT_FALSE(value.empty()) << key;
+    EXPECT_GE(std::atof(value.c_str()), 0.0) << key;
+    stage_sum += std::atof(value.c_str());
+  }
+  EXPECT_EQ(published->Field("stage_write_ms", ""), "");
+  const double server_ms = std::atof(published->Field("server_ms", "").c_str());
+  // Fields carry 3 decimals, so the sum may be off by rounding only.
+  EXPECT_NEAR(stage_sum, server_ms, 0.005);
+  EXPECT_LE(server_ms, round_trip_ms);
+
+  Request ping;
+  ping.verb = "ping";
+  auto pong = client->Call(ping);
+  ASSERT_TRUE(pong.ok() && pong->ok);
+  EXPECT_NE(pong->Field("stage_read_ms", ""), "");
+  EXPECT_EQ(pong->Field("stage_pipeline_ms", ""), "");
+
+  Request stats;
+  stats.verb = "stats";
+  auto report = client->Call(stats);
+  ASSERT_TRUE(report.ok() && report->ok);
+  EXPECT_EQ(report->Field("verb_anonymize_requests", ""), "1");
+  EXPECT_EQ(report->Field("verb_ping_requests", ""), "1");
+  EXPECT_NE(report->Field("verb_anonymize_write_ms", ""), "");
+  EXPECT_EQ(report->Field("verb_verify_requests", ""), "");  // none yet
+  server.Stop();
+
+  // Every request is counted under exactly one verb, stats included.
+  ServerStats final_stats = server.stats();
+  uint64_t counted = 0;
+  for (const VerbTotals& totals : final_stats.verbs) counted += totals.requests;
+  EXPECT_EQ(counted, final_stats.requests + final_stats.protocol_errors);
+  const VerbTotals& anonymized =
+      final_stats.verbs[static_cast<size_t>(Verb::kAnonymize)];
+  EXPECT_NEAR(anonymized.stage_ms[static_cast<size_t>(Stage::kPipeline)],
+              std::atof(published->Field("stage_pipeline_ms", "").c_str()),
+              0.001);
+  EXPECT_GT(anonymized.stage_ms[static_cast<size_t>(Stage::kWrite)], 0.0);
+}
+
 TEST(ServeServerTest, UpdateRejectsBadDeltasWithoutTouchingServedState) {
   Server server(MedicalRelation(), MedicalConstraints(*MedicalSchema()),
                 TestOptions());
@@ -654,6 +787,122 @@ TEST(ServeServerTest, DrainRefusesNewWorkAndStopIsIdempotent) {
   server.Stop();
   server.Stop();  // idempotent
   EXPECT_EQ(server.inflight(), 0u);
+}
+
+// --------------------------------------------------------------- transport
+
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
+TEST(ServeTransportTest, LoopbackRoundTripsHaveNoDelayedAckStall) {
+  // A frame split into a header-only segment waits for the peer's
+  // delayed ACK (40 ms on Linux) under Nagle. One write per frame plus
+  // TCP_NODELAY keeps a loopback round trip well under a millisecond;
+  // the 5 ms bound leaves room for sanitizer builds and a loaded machine
+  // while staying far below the stall.
+  Server server(MedicalRelation(), MedicalConstraints(*MedicalSchema()),
+                TestOptions());
+  ASSERT_TRUE(server.Start().ok());
+  auto client = Client::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok());
+  Request anonymize;
+  anonymize.verb = "anonymize";
+  anonymize.params["k"] = "2";
+  auto published = client->Call(anonymize);
+  ASSERT_TRUE(published.ok() && published->ok);
+
+  Request ping;
+  ping.verb = "ping";
+  Request fetch;
+  fetch.verb = "fetch";
+  fetch.params["snapshot"] = published->Field("snapshot", "");
+  std::vector<double> ping_ms;
+  std::vector<double> fetch_ms;
+  for (int i = 0; i < 120; ++i) {
+    const bool is_fetch = i % 6 == 5;  // 100 pings, 20 fetches
+    StopWatch watch;
+    auto response = client->Call(is_fetch ? fetch : ping);
+    const double elapsed = watch.ElapsedMillis();
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    ASSERT_TRUE(response->ok) << response->ToStatus().ToString();
+    if (is_fetch) {
+      ASSERT_FALSE(response->body.empty());
+    }
+    (is_fetch ? fetch_ms : ping_ms).push_back(elapsed);
+  }
+  ASSERT_EQ(ping_ms.size(), 100u);
+  ASSERT_EQ(fetch_ms.size(), 20u);
+  EXPECT_LT(Median(ping_ms), 5.0);
+  EXPECT_LT(Median(fetch_ms), 5.0);
+  server.Stop();
+}
+
+/// Byte i of a test payload of `size` bytes: position-dependent, so a
+/// frame whose bytes were resent, skipped or reordered cannot compare
+/// equal.
+std::string PatternPayload(size_t size) {
+  std::string payload(size, '\0');
+  for (size_t i = 0; i < size; ++i) {
+    payload[i] = static_cast<char>((i * 131 + i / 251 + size) & 0xff);
+  }
+  return payload;
+}
+
+TEST(ServeTransportTest, FramesSurvivePartialWritesIntact) {
+  // A blocking send returns short only when its send timeout expires
+  // after some bytes went out — how a slow peer makes the server's 1 s
+  // stall guard cut a write. So the writer gets a small send buffer and
+  // a 200 ms send timeout, and the reader starts each large frame 300 ms
+  // late: the writer's first sendmsg fills the buffer, times out and
+  // returns short, and the retry (advanced past the sent bytes) resumes
+  // once the reader drains. The 100 ms margins on either side keep the
+  // retry from timing out with nothing sent, which would be an IoError.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  int small = 4096;
+  ASSERT_EQ(::setsockopt(fds[0], SOL_SOCKET, SO_SNDBUF, &small, sizeof(small)),
+            0);
+  timeval timeout;
+  timeout.tv_sec = 0;
+  timeout.tv_usec = 200000;
+  ASSERT_EQ(
+      ::setsockopt(fds[0], SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout)),
+      0);
+  const std::vector<size_t> sizes = {0, 1, 64u << 10, 4u << 20};
+
+  std::vector<Result<std::string>> received;
+  TaskGroup reader(1);
+  uint64_t ticket = reader.Submit([&] {
+    for (size_t size : sizes) {
+      if (size >= (64u << 10)) {
+        Mutex mutex;
+        CondVar nap;
+        MutexLock lock(mutex);
+        nap.WaitFor(lock, 0.3);
+      }
+      received.push_back(ReadFrame(fds[1]));
+    }
+    received.push_back(ReadFrame(fds[1]));  // after the writer's close
+  });
+  for (size_t size : sizes) {
+    Status written = WriteFrame(fds[0], PatternPayload(size));
+    EXPECT_TRUE(written.ok()) << written.ToString();
+  }
+  ::close(fds[0]);
+  reader.Wait(ticket);
+  ::close(fds[1]);
+
+  ASSERT_EQ(received.size(), sizes.size() + 1);
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    ASSERT_TRUE(received[i].ok()) << received[i].status().ToString();
+    EXPECT_EQ(received[i]->size(), sizes[i]);
+    EXPECT_TRUE(*received[i] == PatternPayload(sizes[i]))
+        << "payload of " << sizes[i] << " bytes corrupted";
+  }
+  // A clean close between frames is the NotFound sentinel.
+  EXPECT_EQ(received.back().status().code(), StatusCode::kNotFound);
 }
 
 }  // namespace
