@@ -122,17 +122,9 @@ int main() {
     });
   }
 
-  std::printf("\n--- (6) portfolio coloring threads ---\n");
-  for (size_t threads : {1u, 2u, 4u}) {
-    std::string label = "portfolio_threads=" + std::to_string(threads);
-    Report(workload, label.c_str(), [threads](DivaOptions* options) {
-      options->portfolio_threads = threads;
-    });
-  }
-
-  // (7) Recoding family comparison: local suppression vs LCA
+  // (6) Recoding family comparison: local suppression vs LCA
   // generalization vs Samarati full-domain recoding, same k.
-  std::printf("\n--- (7) recoding family (k=10, NCP information loss) ---\n");
+  std::printf("\n--- (6) recoding family (k=10, NCP information loss) ---\n");
   {
     const Relation& r = workload.relation;
     GeneralizationContext context(r.NumAttributes());

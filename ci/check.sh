@@ -109,8 +109,8 @@ DIVA_THREADS=1 \
 python3 tools/bench_diff.py \
   bench/baselines/BENCH_coloring.json /tmp/BENCH_coloring_t1.$$.json
 
-# Cross-width determinism: with speculative attempt search on, every
-# deterministic metric must be byte-identical at width 8 (mirrors the
+# Cross-width determinism: every deterministic metric must be
+# byte-identical at width 8 (mirrors the
 # thread-matrix CI job; exec_/timing keys are informational).
 step "bench gate: cross-width determinism (DIVA_THREADS=1 vs 8, tolerance 0)"
 DIVA_THREADS=8 \

@@ -33,9 +33,9 @@ std::map<std::string, Entry>& Registry() DIVA_REQUIRES(g_mutex) {
 constinit thread_local Buffer* tl_deterministic_buffer = nullptr;
 
 void Buffer::Add(Cell* cell, uint64_t delta) {
-  // Coalesce counter bumps per cell: a speculative attempt touches only
-  // a handful of distinct deterministic counters, so a linear scan beats
-  // a hash map here.
+  // Coalesce counter bumps per cell: one buffered unit of work touches
+  // only a handful of distinct deterministic counters, so a linear scan
+  // beats a hash map here.
   for (Op& op : ops_) {
     if (op.cell == cell && !op.histogram) {
       op.value += delta;

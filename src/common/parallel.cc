@@ -1,6 +1,5 @@
 #include "common/parallel.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -339,34 +338,6 @@ size_t ParallelFor(size_t count, size_t grain,
   return GlobalPool()->ParallelFor(count, grain, body);
 }
 
-void RunTasks(size_t count, const std::function<void(size_t)>& fn) {
-  if (count == 0) return;
-  CancellationToken cancel = CurrentLoopCancellation();
-  if (count == 1) {
-    if (!cancel.Cancelled()) fn(0);
-    return;
-  }
-  Mutex mutex;
-  std::exception_ptr first_error;
-  auto run_task = [&](size_t task) {
-    if (cancel.Cancelled()) return;  // skip tasks not yet started
-    try {
-      fn(task);
-    } catch (...) {
-      MutexLock lock(mutex);
-      if (first_error == nullptr) first_error = std::current_exception();
-    }
-  };
-  std::vector<std::thread> workers;
-  workers.reserve(count - 1);
-  for (size_t task = 1; task < count; ++task) {
-    workers.emplace_back([&run_task, task] { run_task(task); });
-  }
-  run_task(0);
-  for (std::thread& worker : workers) worker.join();
-  if (first_error != nullptr) std::rethrow_exception(first_error);
-}
-
 struct TaskGroup::Impl {
   enum class State { kPending, kClaimed, kDone, kAbandoned };
 
@@ -377,7 +348,6 @@ struct TaskGroup::Impl {
   };
 
   size_t worker_count = 0;
-  std::atomic<size_t> idle_workers{0};
 
   Mutex mutex;
   CondVar work_cv;  // workers: pending item arrived or shutdown
@@ -422,11 +392,7 @@ struct TaskGroup::Impl {
       std::function<void()> fn;
       {
         MutexLock lock(mutex);
-        while (!shutdown && pending.empty()) {
-          idle_workers.fetch_add(1, std::memory_order_relaxed);
-          work_cv.Wait(lock);
-          idle_workers.fetch_sub(1, std::memory_order_relaxed);
-        }
+        while (!shutdown && pending.empty()) work_cv.Wait(lock);
         if (shutdown && pending.empty()) return;
         std::tie(ticket, fn) = ClaimFrontLocked();
       }
@@ -462,10 +428,6 @@ TaskGroup::~TaskGroup() {
 }
 
 size_t TaskGroup::workers() const { return impl_->worker_count; }
-
-bool TaskGroup::HasIdleWorker() const {
-  return impl_->idle_workers.load(std::memory_order_relaxed) > 0;
-}
 
 uint64_t TaskGroup::Submit(std::function<void()> fn) {
   DIVA_COUNTER_ADD_EXEC("taskgroup.submitted", 1);
@@ -509,32 +471,6 @@ void TaskGroup::Wait(uint64_t ticket) {
     DIVA_COUNTER_ADD_EXEC("taskgroup.claimed_by_waiter", 1);
     impl_->RunItem(help_ticket, help_fn);
   }
-}
-
-bool TaskGroup::TryAbandon(uint64_t ticket) {
-  MutexLock lock(impl_->mutex);
-  auto it = impl_->items.find(ticket);
-  DIVA_CHECK_MSG(it != impl_->items.end(),
-                 "TaskGroup::TryAbandon on unknown ticket");
-  if (it->second.state != Impl::State::kPending) return false;
-  it->second.state = Impl::State::kAbandoned;
-  it->second.fn = nullptr;
-  auto pos = std::find(impl_->pending.begin(), impl_->pending.end(), ticket);
-  DIVA_CHECK(pos != impl_->pending.end());
-  impl_->pending.erase(pos);
-  DIVA_COUNTER_ADD_EXEC("taskgroup.abandoned", 1);
-  return true;
-}
-
-void TaskGroup::AbandonAll() {
-  MutexLock lock(impl_->mutex);
-  for (uint64_t ticket : impl_->pending) {
-    Impl::Item& item = impl_->items.at(ticket);
-    item.state = Impl::State::kAbandoned;
-    item.fn = nullptr;
-    DIVA_COUNTER_ADD_EXEC("taskgroup.abandoned", 1);
-  }
-  impl_->pending.clear();
 }
 
 ScopedLoopCancellation::ScopedLoopCancellation(CancellationToken token) {

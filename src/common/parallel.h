@@ -97,36 +97,16 @@ void SetParallelThreads(size_t threads);
 size_t ParallelFor(size_t count, size_t grain,
                    const std::function<void(size_t, size_t)>& body);
 
-/// Task parallelism for a handful of coarse, independent computations
-/// (e.g. the portfolio coloring's speculative searches): runs fn(0) ..
-/// fn(count-1) concurrently on dedicated threads (task 0 on the caller)
-/// and blocks until all finish. Unlike ParallelFor bodies, tasks ARE
-/// allowed to use ParallelFor internally — they are top-level work; when
-/// several tasks hit the global pool at once, one wins it and the rest
-/// degrade to inline execution. The first task exception is rethrown
-/// after every task has finished. When the installed cancellation token
-/// (ScopedLoopCancellation) is already tripped, tasks that have not yet
-/// started are skipped; running tasks are expected to poll the token
-/// themselves.
-void RunTasks(size_t count, const std::function<void(size_t)>& fn);
-
 /// A small pool of dedicated threads executing submitted closures with
 /// DETERMINISTIC CLAIM ORDERING: pending items are claimed strictly in
-/// submission (FIFO) order, never by arrival luck, so "the lowest
-/// submitted index runs first" is a guarantee callers can build
-/// deterministic adoption rules on (the speculative coloring search
-/// adopts the lowest-index attempt whose speculative run is provably
-/// identical to its sequential turn). Unlike ThreadPool this is task
-/// (not loop) parallelism, and unlike RunTasks the submitter does not
-/// block at submission: it collects a ticket per item and settles them
-/// later, in any order it likes.
-///
-/// Speculative-cancel support: TryAbandon(ticket) atomically retracts an
-/// item nobody claimed yet — the caller then owns running that work
-/// itself (typically inline, under sequential semantics). AbandonAll
-/// retracts every still-pending item at once. Claimed items always run
-/// to completion; abandonment never interrupts a running closure (use a
-/// CancellationToken inside the closure for that).
+/// submission (FIFO) order, never by arrival luck. Unlike ThreadPool
+/// this is task (not loop) parallelism: the submitter does not block at
+/// submission, it collects a ticket per item and settles them later, in
+/// any order it likes. Closures MAY use ParallelFor internally — they are
+/// top-level work; when several hit the global pool at once, one wins it
+/// and the rest degrade to inline execution of identical chunks. Claimed
+/// items always run to completion (use a CancellationToken inside the
+/// closure to stop one early).
 class TaskGroup {
  public:
   /// Spawns exactly `workers` dedicated threads (0 is allowed: every
@@ -142,12 +122,6 @@ class TaskGroup {
 
   size_t workers() const;
 
-  /// True when at least one worker is parked waiting for work — a cheap
-  /// hint for "would a speculative submission start promptly?". Racy by
-  /// nature; callers may only use it to gate heuristics, never
-  /// correctness.
-  bool HasIdleWorker() const;
-
   /// Enqueues `fn` and returns its ticket. Tickets are dense and
   /// ascending in submission order.
   uint64_t Submit(std::function<void()> fn);
@@ -156,25 +130,16 @@ class TaskGroup {
   /// first exception it raised (if any). While waiting, the caller helps:
   /// it claims and runs pending items in FIFO order (possibly the waited
   /// item itself), so progress never depends on a worker being free.
-  /// It is a fatal error to Wait on an abandoned ticket.
   void Wait(uint64_t ticket);
-
-  /// Retracts a still-pending item: returns true and transfers ownership
-  /// of the work back to the caller iff nobody claimed it yet. Returns
-  /// false when the item is already claimed, done, or abandoned.
-  bool TryAbandon(uint64_t ticket);
-
-  /// TryAbandon for every pending item.
-  void AbandonAll();
 
  private:
   struct Impl;
   Impl* impl_;
 };
 
-/// Installs `token` as the cancellation signal every ParallelFor /
-/// RunTasks call observes until the scope exits (the previous token is
-/// restored — scopes nest). Process-global like SetParallelThreads:
+/// Installs `token` as the cancellation signal every ParallelFor call
+/// observes until the scope exits (the previous token is restored —
+/// scopes nest). Process-global like SetParallelThreads:
 /// intended for the one pipeline driver (RunDiva) that owns the run.
 /// A tripped token makes loops stop claiming work; it never corrupts
 /// completed chunks — see ThreadPool::ParallelFor. Install it only

@@ -1,7 +1,6 @@
 #ifndef DIVA_CORE_COLORING_H_
 #define DIVA_CORE_COLORING_H_
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -42,11 +41,6 @@ struct ColoringOptions {
   /// an infeasible remainder.
   uint64_t stall_limit = 5000;
 
-  /// Cooperative cancellation: when set and *cancel becomes true, the
-  /// search stops at the next step and returns its best partial outcome.
-  /// Used by the portfolio driver; null = never cancelled.
-  const std::atomic<bool>* cancel = nullptr;
-
   /// Deadline-driven cancellation (the anytime mode of RunDiva): when the
   /// token trips, the search stops at the next step and the best partial
   /// coloring found so far is returned with budget_exhausted set — the
@@ -68,57 +62,13 @@ struct ColoringOptions {
   /// disabling it only costs time (coloring_test asserts byte-identical
   /// outcomes both ways). Hit/miss/evict totals are exported through the
   /// deterministic counters coloring.memo_{hits,misses,evictions}.
+  /// Attempt 0's memo is handed to the greedy pass, which derives the
+  /// same per-node enumeration seeds.
   bool memo = true;
 
   /// Memoized candidate lists retained per search engine before the memo
   /// is dropped wholesale (epoch eviction) to bound memory.
   size_t memo_capacity = 2048;
-
-  /// Deterministic speculative search: restart attempts run ahead on
-  /// idle threads and the driver adopts results in attempt order, each
-  /// one only when it is provably identical to what the sequential
-  /// schedule would have computed (otherwise that attempt is re-run
-  /// inline under exact sequential semantics). Sibling candidates at
-  /// backtrack points are additionally pre-validated by idle workers.
-  /// Output, step/backtrack counts, and every deterministic counter are
-  /// byte-identical to speculation = false at any thread width; the knob
-  /// only trades threads for wall time. Automatically disabled when the
-  /// search can be cancelled externally (options.cancel / deadline),
-  /// because a truncated run is scheduling-dependent by nature.
-  bool speculation = true;
-
-  /// Learn dead subtrees: when every candidate of a node fails without
-  /// consuming randomness, improving the best partial coloring, or
-  /// hitting a budget, the (node, state) pair is recorded with its
-  /// step/backtrack cost and replayed on re-visits — the search charges
-  /// the recorded cost and fails immediately instead of re-exploring.
-  /// Replay is exactly equivalent to re-execution, so outcomes are
-  /// byte-identical with the table on or off (coloring_test asserts
-  /// this). Hit/miss/evict totals are exported through the deterministic
-  /// counters coloring.nogood_{hits,misses,evictions}.
-  bool nogood = true;
-
-  /// Nogood entries retained per search engine before the table is
-  /// dropped wholesale (epoch eviction, like memo_capacity).
-  size_t nogood_capacity = 4096;
-
-  /// Publish each restart attempt's learned nogoods at its end (a
-  /// deterministic sequence point) and seed them into every later
-  /// attempt, so attempt i prunes attempts j > i. Changes later
-  /// attempts' trajectories (deterministically — identical at every
-  /// thread width), and forces the attempt portfolio to run
-  /// sequentially, since attempt j cannot start before attempt i's
-  /// table is final. Off by default: the attempts that learn the most
-  /// are exactly the expensive ones speculation overlaps. The greedy
-  /// pass never consumes shared entries (they were learned under
-  /// forward checking and are unsound without it).
-  bool share_nogoods = false;
-
-  /// Hand the first strict attempt's candidate memo to the greedy pass
-  /// (they share the per-node enumeration seed, so entries are
-  /// interchangeable; the memo is semantically transparent, so steps
-  /// and outcome are unchanged — only enumeration time is saved).
-  bool share_memo = true;
 
   /// Knobs of the per-node candidate enumeration. Candidates are
   /// regenerated each time a node is tried (or replayed from the memo),
@@ -160,27 +110,15 @@ struct ColoringOutcome {
 };
 
 /// Runs the coloring search over (R, Sigma) with the interaction graph
-/// `graph` (whose `targets` must be the constraints' target-tuple lists).
+/// `graph` (whose `targets` must be the constraints' target-tuple lists):
+/// up to eight strict restart attempts with forward checking, then one
+/// greedy pass that may leave nodes uncolored. Sequential and
+/// deterministic: the outcome depends only on the inputs and `options`,
+/// never on the thread width.
 ColoringOutcome ColorConstraints(const Relation& relation,
                                  const ConstraintSet& constraints,
                                  const ConstraintGraph& graph,
                                  const ColoringOptions& options);
-
-/// Portfolio parallelization of the coloring search — the paper's
-/// future-work direction ("a distributed version of the coloring
-/// algorithm to improve scalability by satisfying constraints in
-/// parallel"). Launches `threads` independently-seeded searches on
-/// worker threads; the first complete coloring cancels the rest. When no
-/// search completes, the one that colored the most constraints wins
-/// (ties by thread index). `threads` <= 1 is plain ColorConstraints.
-///
-/// Every returned outcome is a valid coloring state; which complete
-/// assignment wins under cancellation may vary run to run.
-ColoringOutcome ColorConstraintsPortfolio(const Relation& relation,
-                                          const ConstraintSet& constraints,
-                                          const ConstraintGraph& graph,
-                                          const ColoringOptions& options,
-                                          size_t threads);
 
 }  // namespace diva
 

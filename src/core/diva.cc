@@ -390,12 +390,7 @@ Result<DivaResult> RunDivaPipeline(const Relation& relation,
                              capture_coloring));
     } else {
       coloring =
-          options.portfolio_threads > 1
-              ? ColorConstraintsPortfolio(relation, constraints, *graph,
-                                          coloring_options,
-                                          options.portfolio_threads)
-              : ColorConstraints(relation, constraints, *graph,
-                                 coloring_options);
+          ColorConstraints(relation, constraints, *graph, coloring_options);
     }
   }
   report.clustering_complete = coloring.complete;

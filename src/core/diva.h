@@ -71,12 +71,6 @@ struct DivaOptions {
   /// target value — so every DIVA guarantee carries over.
   std::shared_ptr<const GeneralizationContext> generalization;
 
-  /// Portfolio parallelism for the coloring search (the paper's
-  /// future-work direction): number of independently seeded searches run
-  /// on worker threads, first complete coloring wins. 0 or 1 = single
-  /// search.
-  size_t portfolio_threads = 0;
-
   /// Data-parallel execution width for the pipeline's hot loops
   /// (candidate enumeration, suppression, baseline clustering, metrics,
   /// auditing). Defaults to the DIVA_THREADS environment knob; 0 = one

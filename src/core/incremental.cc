@@ -52,7 +52,6 @@ uint64_t OptionsFingerprint(const DivaOptions& options) {
   static_assert(sizeof(t_bits) == sizeof(options.t_closeness));
   std::memcpy(&t_bits, &options.t_closeness, sizeof(t_bits));
   h = FnvMix(h, t_bits);
-  h = FnvMix(h, options.portfolio_threads);
   return h;
 }
 

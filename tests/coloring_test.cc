@@ -5,6 +5,7 @@
 
 #include "common/counters.h"
 #include "common/parallel.h"
+#include "common/trace.h"
 #include "constraint/generator.h"
 #include "core/coloring.h"
 #include "core/constraint_graph.h"
@@ -223,56 +224,6 @@ TEST(ColoringTest, DeterministicForSeed) {
   EXPECT_EQ(a.steps, b.steps);
 }
 
-// ------------------------------------------------------------ portfolio
-
-TEST(PortfolioTest, SingleThreadEqualsSequential) {
-  Relation r = MedicalRelation();
-  ConstraintSet constraints = MedicalConstraints(*MedicalSchema());
-  ConstraintGraph graph = BuildConstraintGraph(r, constraints);
-  ColoringOptions options;
-  options.k = 2;
-  options.seed = 7;
-  ColoringOutcome sequential =
-      ColorConstraints(r, constraints, graph, options);
-  ColoringOutcome portfolio =
-      ColorConstraintsPortfolio(r, constraints, graph, options, 1);
-  EXPECT_EQ(sequential.assignment, portfolio.assignment);
-  EXPECT_EQ(sequential.complete, portfolio.complete);
-}
-
-TEST(PortfolioTest, MultiThreadFindsValidColoring) {
-  Relation r = MedicalRelation();
-  ConstraintSet constraints = MedicalConstraints(*MedicalSchema());
-  ConstraintGraph graph = BuildConstraintGraph(r, constraints);
-  ColoringOptions options;
-  options.k = 2;
-  ColoringOutcome outcome =
-      ColorConstraintsPortfolio(r, constraints, graph, options, 4);
-  EXPECT_TRUE(outcome.complete);
-  // Valid coloring invariants regardless of which worker won.
-  std::set<RowId> seen;
-  for (const Cluster& cluster : outcome.chosen_clusters) {
-    EXPECT_GE(cluster.size(), 2u);
-    for (RowId row : cluster) EXPECT_TRUE(seen.insert(row).second);
-  }
-  for (size_t i = 0; i < constraints.size(); ++i) {
-    EXPECT_GE(outcome.preserved[i], constraints[i].lower());
-    EXPECT_LE(outcome.preserved[i], constraints[i].upper());
-  }
-}
-
-TEST(PortfolioTest, DivaWithPortfolioOption) {
-  Relation r = MedicalRelation();
-  ConstraintSet constraints = MedicalConstraints(*MedicalSchema());
-  DivaOptions options;
-  options.k = 2;
-  options.portfolio_threads = 3;
-  auto result = RunDiva(r, constraints, options);
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(IsKAnonymous(result->relation, 2));
-  EXPECT_TRUE(SatisfiesAll(result->relation, constraints));
-}
-
 // ------------------------------------------------------------ memo cache
 
 uint64_t CounterDelta(const std::vector<counters::Sample>& delta,
@@ -402,74 +353,7 @@ TEST(ColoringTest, MemoDisabledOrEvictingIsByteIdentical) {
   EXPECT_GT(CounterDelta(delta, "coloring.memo_evictions"), 0u);
 }
 
-// ------------------------------------------------------------ nogoods
-
-// The nogood table is a pure prune: an entry replays the exact
-// step/backtrack cost the recorded failure paid, so disabling the table
-// — or strangling it to one entry — must not move a byte. In debug
-// builds every record and replay also runs the full-state collision
-// oracle (NogoodSignature), so this test doubles as the fingerprint-
-// collision check: a 64-bit key collision between different subproblem
-// states would trip the DCHECK, not silently corrupt the search.
-TEST(ColoringTest, NogoodDisabledOrEvictingIsByteIdentical) {
-  StressWorkload workload = MakeStressWorkload();
-  ConstraintGraph graph =
-      BuildConstraintGraph(workload.relation, workload.constraints);
-
-  auto before = counters::Snapshot();
-  ColoringOutcome baseline = ColorConstraints(
-      workload.relation, workload.constraints, graph, StressOptions());
-  auto delta = counters::Delta(before, counters::Snapshot());
-  ASSERT_GT(baseline.backtracks, 0u);
-  // The table is live on this workload: failures are being recorded.
-  EXPECT_GT(CounterDelta(delta, "coloring.nogood_misses"), 0u);
-
-  ColoringOptions off = StressOptions();
-  off.nogood = false;
-  ColoringOutcome without = ColorConstraints(
-      workload.relation, workload.constraints, graph, off);
-  EXPECT_TRUE(SameOutcome(baseline, without));
-
-  // Capacity 1 evicts (epoch-clears) on nearly every second record; the
-  // search trajectory still must not change.
-  ColoringOptions tiny = StressOptions();
-  tiny.nogood_capacity = 1;
-  before = counters::Snapshot();
-  ColoringOutcome evicting = ColorConstraints(
-      workload.relation, workload.constraints, graph, tiny);
-  delta = counters::Delta(before, counters::Snapshot());
-  EXPECT_TRUE(SameOutcome(baseline, evicting));
-  EXPECT_GT(CounterDelta(delta, "coloring.nogood_evictions"), 0u);
-}
-
-// Eviction is an epoch clear at a deterministic point (the insert that
-// would exceed capacity), so the eviction count is itself a
-// deterministic counter: two identical runs must agree exactly.
-TEST(ColoringTest, NogoodEvictionIsBoundedAndDeterministic) {
-  StressWorkload workload = MakeStressWorkload();
-  ConstraintGraph graph =
-      BuildConstraintGraph(workload.relation, workload.constraints);
-  ColoringOptions tiny = StressOptions();
-  tiny.nogood_capacity = 2;
-
-  uint64_t evictions[2] = {0, 0};
-  uint64_t misses[2] = {0, 0};
-  ColoringOutcome outcomes[2];
-  for (int run = 0; run < 2; ++run) {
-    auto before = counters::Snapshot();
-    outcomes[run] = ColorConstraints(workload.relation, workload.constraints,
-                                     graph, tiny);
-    auto delta = counters::Delta(before, counters::Snapshot());
-    evictions[run] = CounterDelta(delta, "coloring.nogood_evictions");
-    misses[run] = CounterDelta(delta, "coloring.nogood_misses");
-  }
-  EXPECT_TRUE(SameOutcome(outcomes[0], outcomes[1]));
-  EXPECT_EQ(evictions[0], evictions[1]);
-  EXPECT_EQ(misses[0], misses[1]);
-  EXPECT_GT(evictions[0], 0u);
-}
-
-// ------------------------------------------------------------ speculation
+// ------------------------------------------------------------ widths
 
 std::vector<counters::Sample> DeterministicDelta(
     const std::vector<counters::Sample>& before) {
@@ -477,13 +361,11 @@ std::vector<counters::Sample> DeterministicDelta(
                                counters::Scope::kDeterministic);
 }
 
-// The tentpole determinism contract: with speculative attempt search
-// enabled (the default), the outcome AND every deterministic counter —
-// steps, backtracks, memo and nogood traffic — are byte-identical at
-// every thread width. Counter/trace attribution is what makes this
-// hold: unadopted speculative attempts buffer their deterministic
-// updates and discard them.
-TEST(SpeculationTest, OutcomeAndCountersAgreeAcrossThreadWidths) {
+// The determinism contract: the outcome AND every deterministic counter
+// — steps, backtracks, memo traffic — are byte-identical at every
+// thread width. The restart loop is sequential; only the data-parallel
+// kernels inside it (target sorts, enumeration) fan out.
+TEST(ColoringWidthTest, OutcomeAndCountersAgreeAcrossThreadWidths) {
   StressWorkload workload = MakeStressWorkload();
   ConstraintGraph graph =
       BuildConstraintGraph(workload.relation, workload.constraints);
@@ -507,84 +389,30 @@ TEST(SpeculationTest, OutcomeAndCountersAgreeAcrossThreadWidths) {
   SetParallelThreads(1);
 }
 
-// Turning speculation off entirely (the sequential attempt loop) is the
-// oracle the speculative path must match, including at width 8 where
-// all seven spare attempt slots run ahead.
-TEST(SpeculationTest, DisablingSpeculationIsByteIdentical) {
+// Attempt 0 hands its memo to the greedy pass (they share the per-node
+// enumeration seed). The handoff is a cache transfer, not a semantic
+// change: on a run that reaches the greedy pass, turning the memo off
+// must not move a byte.
+TEST(ColoringTest, MemoHandoffToGreedyPassIsByteIdentical) {
   StressWorkload workload = MakeStressWorkload();
   ConstraintGraph graph =
       BuildConstraintGraph(workload.relation, workload.constraints);
 
-  SetParallelThreads(8);
-  ColoringOptions spec = StressOptions();
-  ColoringOutcome with_spec = ColorConstraints(
-      workload.relation, workload.constraints, graph, spec);
-
-  ColoringOptions no_spec = StressOptions();
-  no_spec.speculation = false;
-  ColoringOutcome without = ColorConstraints(
-      workload.relation, workload.constraints, graph, no_spec);
-  SetParallelThreads(1);
-  EXPECT_TRUE(SameOutcome(with_spec, without));
-}
-
-// The cross-attempt memo share is sound because the greedy fallback
-// reuses attempt 0's enumeration seed; sharing is a cache handoff, not
-// a semantic change.
-TEST(SpeculationTest, MemoShareToggleIsByteIdentical) {
-  StressWorkload workload = MakeStressWorkload();
-  ConstraintGraph graph =
-      BuildConstraintGraph(workload.relation, workload.constraints);
-
-  ColoringOutcome shared = ColorConstraints(
+  trace::Enable();
+  ColoringOutcome with_memo = ColorConstraints(
       workload.relation, workload.constraints, graph, StressOptions());
-  ColoringOptions unshared = StressOptions();
-  unshared.share_memo = false;
-  ColoringOutcome isolated = ColorConstraints(
-      workload.relation, workload.constraints, graph, unshared);
-  EXPECT_TRUE(SameOutcome(shared, isolated));
-}
-
-// share_nogoods trades speculation for cross-attempt pruning (it forces
-// the sequential loop). It may legally change the trajectory versus the
-// unshared default — later attempts see earlier attempts' dead ends —
-// but it must be deterministic across widths and still yield a valid
-// outcome.
-TEST(SpeculationTest, SharedNogoodsAreDeterministicAcrossWidths) {
-  StressWorkload workload = MakeStressWorkload();
-  ConstraintGraph graph =
-      BuildConstraintGraph(workload.relation, workload.constraints);
-  ColoringOptions sharing = StressOptions();
-  sharing.share_nogoods = true;
-
-  ColoringOutcome reference;
-  std::vector<counters::Sample> reference_delta;
-  for (size_t threads : {size_t{1}, size_t{8}}) {
-    SetParallelThreads(threads);
-    auto before = counters::Snapshot();
-    ColoringOutcome outcome = ColorConstraints(
-        workload.relation, workload.constraints, graph, sharing);
-    std::vector<counters::Sample> delta = DeterministicDelta(before);
-    if (threads == 1) {
-      reference = std::move(outcome);
-      reference_delta = std::move(delta);
-      continue;
-    }
-    EXPECT_TRUE(SameOutcome(reference, outcome));
-    EXPECT_EQ(reference_delta, delta);
+  trace::Disable();
+  bool greedy_ran = false;
+  for (const trace::SpanEvent& event : trace::Collect()) {
+    greedy_ran |= std::string(event.name) == "coloring/greedy";
   }
-  SetParallelThreads(1);
+  ASSERT_TRUE(greedy_ran) << "no strict attempt may complete this workload";
 
-  // Still a coherent coloring: no row claimed twice, bounds respected.
-  std::set<RowId> seen;
-  for (const Cluster& cluster : reference.chosen_clusters) {
-    for (RowId row : cluster) {
-      EXPECT_TRUE(seen.insert(row).second) << "overlap on row " << row;
-    }
-  }
-  for (size_t j = 0; j < workload.constraints.size(); ++j) {
-    EXPECT_LE(reference.preserved[j], workload.constraints[j].upper()) << j;
-  }
+  ColoringOptions no_memo = StressOptions();
+  no_memo.memo = false;
+  ColoringOutcome without = ColorConstraints(
+      workload.relation, workload.constraints, graph, no_memo);
+  EXPECT_TRUE(SameOutcome(with_memo, without));
 }
 
 TEST(ColoringTest, PreservedMatchesChosenClusters) {

@@ -24,10 +24,9 @@ keys starting with "_" are metadata and ignored). Two metric classes:
   baseline on the same machine first). Only worse-direction drift fails:
   faster is never a regression.
 
-* Execution-scope metrics (any key starting with "exec_", e.g.
-  exec_spec_adopted): describe how work was *scheduled* — speculative
-  adoptions, probe counts — and legitimately vary with thread width and
-  timing. Always informational, never gated, not even by
+* Execution-scope metrics (any key starting with "exec_"): describe
+  how work was *scheduled* — pool chunk claims, worker hand-offs — and
+  legitimately vary with thread width and timing. Always informational, never gated, not even by
   --strict-timing.
 
 Key-set drift is reported explicitly in both directions: a baseline
