@@ -79,14 +79,6 @@ bool SameOutcome(const ColoringOutcome& a, const ColoringOutcome& b) {
          a.backtracks == b.backtracks && a.complete == b.complete;
 }
 
-uint64_t CounterDelta(const std::vector<counters::Sample>& delta,
-                      const std::string& name) {
-  for (const counters::Sample& sample : delta) {
-    if (sample.name == name) return sample.value;
-  }
-  return 0;
-}
-
 ShapeResult RunShape(const Shape& shape) {
   ProfileOptions profile_options;
   if (shape.num_rows > 0) profile_options.num_rows = shape.num_rows;
@@ -123,11 +115,11 @@ ShapeResult RunShape(const Shape& shape) {
     if (rep == 0) {
       // Counter deltas from the first rep only — every rep is identical.
       auto delta = counters::Delta(before, counters::Snapshot());
-      result.memo_hits = CounterDelta(delta, "coloring.memo_hits");
-      result.memo_misses = CounterDelta(delta, "coloring.memo_misses");
-      result.memo_evictions = CounterDelta(delta, "coloring.memo_evictions");
-      result.target_sorts = CounterDelta(delta, "coloring.target_sorts");
-      result.attempts = CounterDelta(delta, "coloring.attempts");
+      result.memo_hits = CounterValue(delta, "coloring.memo_hits");
+      result.memo_misses = CounterValue(delta, "coloring.memo_misses");
+      result.memo_evictions = CounterValue(delta, "coloring.memo_evictions");
+      result.target_sorts = CounterValue(delta, "coloring.target_sorts");
+      result.attempts = CounterValue(delta, "coloring.attempts");
       result.wall_seconds = secs;
       reference = std::move(outcome);
     } else {
@@ -155,15 +147,6 @@ ShapeResult RunShape(const Shape& shape) {
     }
   }
   return result;
-}
-
-void AppendMetric(std::string* json, const char* key, double value,
-                  bool* first) {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf), "%s    \"%s\": %.6g", *first ? "" : ",\n",
-                key, value);
-  *json += buf;
-  *first = false;
 }
 
 }  // namespace

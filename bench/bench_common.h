@@ -39,6 +39,36 @@ inline size_t Reps() {
   return 3;
 }
 
+/// Appends `"key": value` (%.6g) to a flat BENCH_*.json metric object.
+inline void AppendMetric(std::string* json, const char* key, double value,
+                         bool* first) {
+  char buf[160];
+  std::snprintf(buf, sizeof(buf), "%s    \"%s\": %.6g", *first ? "" : ",\n",
+                key, value);
+  *json += buf;
+  *first = false;
+}
+
+/// AppendMetric for exact integers (counts, hash halves), which %.6g
+/// would round.
+inline void AppendIntMetric(std::string* json, const char* key,
+                            uint64_t value, bool* first) {
+  char buf[160];
+  std::snprintf(buf, sizeof(buf), "%s    \"%s\": %llu", *first ? "" : ",\n",
+                key, (unsigned long long)value);
+  *json += buf;
+  *first = false;
+}
+
+/// Value of counter `name` in a counter delta (0 when it did not move).
+inline uint64_t CounterValue(const std::vector<counters::Sample>& delta,
+                             const std::string& name) {
+  for (const counters::Sample& sample : delta) {
+    if (sample.name == name) return sample.value;
+  }
+  return 0;
+}
+
 /// Coloring step budget used by the figure benches; bounds DIVA-Basic's
 /// exponential search so sweeps terminate.
 inline uint64_t ColoringBudget() {

@@ -196,25 +196,6 @@ void FoldRep(LegResult* leg, size_t rep, double secs, const DivaResult& run) {
   }
 }
 
-void AppendMetric(std::string* json, const char* key, double value,
-                  bool* first) {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf), "%s    \"%s\": %.6g", *first ? "" : ",\n",
-                key, value);
-  *json += buf;
-  *first = false;
-}
-
-/// Exact integer emission — %.6g would round the 32-bit hash halves.
-void AppendIntMetric(std::string* json, const char* key, uint64_t value,
-                     bool* first) {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf), "%s    \"%s\": %llu", *first ? "" : ",\n",
-                key, (unsigned long long)value);
-  *json += buf;
-  *first = false;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -280,6 +261,11 @@ int main(int argc, char** argv) {
                  "unexpected component count");
   DIVA_CHECK_MSG(shards_reused == kNumRegions - kChurnRegions,
                  "churn confined to 2 regions must reuse 62 components");
+  const uint64_t incidence_visits =
+      CounterValue(cold.report.counters, "graph.incidence_visits");
+  DIVA_CHECK_MSG(CounterValue(incremental.report.counters,
+                              "graph.incidence_visits") == incidence_visits,
+                 "maintained graph swept a different incidence than cold");
 
   // Audited replay (untimed): the publish-or-refuse path accepts the
   // incremental output.
@@ -315,6 +301,9 @@ int main(int argc, char** argv) {
   AppendMetric(&json, "sigma_rows", (double)cold.report.sigma_rows, &first);
   AppendMetric(&json, "repair_cells", (double)cold.report.repair_cells,
                &first);
+  // The overlap sweep over the maintained target lists (equal to the
+  // cold build's, checked above).
+  AppendIntMetric(&json, "incidence_visits", incidence_visits, &first);
   // The 64-bit output hash split into exact-in-double halves: gated at
   // tolerance 0, this pins byte identity across machines and widths.
   AppendIntMetric(&json, "output_hash_lo", cold.output_hash & 0xffffffffULL,

@@ -189,15 +189,6 @@ LegResult RunLeg(const ScaleWorkload& workload, bool shard) {
   return result;
 }
 
-void AppendMetric(std::string* json, const char* key, double value,
-                  bool* first) {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf), "%s    \"%s\": %.6g", *first ? "" : ",\n",
-                key, value);
-  *json += buf;
-  *first = false;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -250,6 +241,10 @@ int main(int argc, char** argv) {
   AppendMetric(&json, "repair_cells", (double)on.report.repair_cells, &first);
   AppendMetric(&json, "colored_constraints",
                (double)on.report.colored_constraints, &first);
+  // The conflict graph's overlap sweep: Σ_r m_r·(m_r − 1)/2 entries.
+  AppendIntMetric(&json, "incidence_visits",
+                  CounterValue(on.report.counters, "graph.incidence_visits"),
+                  &first);
   AppendMetric(&json, "wall_seconds", on.wall_seconds, &first);
   AppendMetric(&json, "shard_off_seconds", off.wall_seconds, &first);
   AppendMetric(&json, "clustering_seconds", on.report.clustering_seconds,

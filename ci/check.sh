@@ -20,13 +20,13 @@
 #   8. bench gate: bench_coloring vs bench/baselines/BENCH_coloring.json
 #      via tools/bench_diff.py (deterministic metrics, 10% tolerance)
 #   9. scale gate: bench_scale (pinned 1M-row / 64-component shape, end
-#      to end) vs bench/baselines/BENCH_scale.json, plus the
+#      to end) vs bench/baselines/BENCH_scale.json at tolerance 0, plus the
 #      shard-equivalence cross-width diff at tolerance 0 — the shard
 #      on/off output-hash equality is asserted inside the bench itself
 #  10. incremental gate: bench_incremental (the bench_scale shape under
 #      a 1% churn, cold re-run vs ApplyDelta replay; output-hash
 #      equality asserted inside the bench) vs
-#      bench/baselines/BENCH_incremental.json, plus the cross-width
+#      bench/baselines/BENCH_incremental.json at tolerance 0, plus the cross-width
 #      diff at tolerance 0 — the >=5x payoff ratio is gated in CI
 #  11. serve gate: diva_loadgen (steady + overload replay against an
 #      in-process server) vs bench/baselines/BENCH_serve.json — the
@@ -123,7 +123,7 @@ step "scale gate: bench_scale vs bench/baselines/BENCH_scale.json"
 cmake --build --preset release -j "$JOBS" --target bench_scale
 DIVA_THREADS=1 \
   ./build/release/bench/bench_scale /tmp/BENCH_scale_t1.$$.json
-python3 tools/bench_diff.py \
+python3 tools/bench_diff.py --tolerance 0 \
   bench/baselines/BENCH_scale.json /tmp/BENCH_scale_t1.$$.json
 
 # Shard equivalence at width: the sharded pipeline's deterministic shape
@@ -141,7 +141,7 @@ step "incremental gate: bench_incremental vs bench/baselines/BENCH_incremental.j
 cmake --build --preset release -j "$JOBS" --target bench_incremental
 DIVA_THREADS=1 \
   ./build/release/bench/bench_incremental /tmp/BENCH_incremental_t1.$$.json
-python3 tools/bench_diff.py \
+python3 tools/bench_diff.py --tolerance 0 \
   bench/baselines/BENCH_incremental.json /tmp/BENCH_incremental_t1.$$.json
 
 # The cold-vs-incremental output-hash equality is a DIVA_CHECK inside

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "constraint/conflict.h"
+#include "constraint/targets.h"
 
 namespace diva {
 
@@ -47,11 +47,12 @@ bool SameTarget(const DiversityConstraint& a, const DiversityConstraint& b) {
 std::vector<ConstraintIssue> AnalyzeConstraintSet(
     const Relation& relation, const ConstraintSet& constraints, size_t k) {
   std::vector<ConstraintIssue> issues;
-  std::vector<std::vector<RowId>> targets;
-  targets.reserve(constraints.size());
-  for (const auto& constraint : constraints) {
-    targets.push_back(constraint.TargetTuples(relation));
-  }
+  const TargetSets targets = FindTargets(relation, constraints);
+  const TargetOverlaps overlaps =
+      ComputeOverlaps(targets.Lists(), relation.NumRows());
+  // The pair loop below visits (i, j) in the pair list's order, so one
+  // cursor reads each pair's overlap (0 when absent from the list).
+  size_t next_pair = 0;
 
   for (size_t i = 0; i < constraints.size(); ++i) {
     const DiversityConstraint& c = constraints[i];
@@ -76,6 +77,12 @@ std::vector<ConstraintIssue> AnalyzeConstraintSet(
 
     for (size_t j = i + 1; j < constraints.size(); ++j) {
       const DiversityConstraint& d = constraints[j];
+      size_t overlap = 0;
+      if (next_pair < overlaps.pairs.size() &&
+          overlaps.pairs[next_pair].i == i &&
+          overlaps.pairs[next_pair].j == j) {
+        overlap = overlaps.pairs[next_pair++].overlap;
+      }
       if (SameTarget(c, d)) {
         bool disjoint_ranges =
             c.upper() < d.lower() || d.upper() < c.lower();
@@ -94,7 +101,6 @@ std::vector<ConstraintIssue> AnalyzeConstraintSet(
       // Nesting: child's target tuples a subset of the parent's. Every
       // preserved child occurrence is also a parent occurrence, so
       // child.lower > parent.upper is unsatisfiable.
-      size_t overlap = SortedIntersectionSize(targets[i], targets[j]);
       if (overlap == 0) continue;
       const bool i_in_j = overlap == targets[i].size();
       const bool j_in_i = overlap == targets[j].size();

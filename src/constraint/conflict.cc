@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "constraint/targets.h"
+
 namespace diva {
 
 size_t SortedIntersectionSize(const std::vector<RowId>& a,
@@ -38,24 +40,19 @@ double PairConflictRate(const Relation& relation,
 double ConflictRate(const Relation& relation,
                     const ConstraintSet& constraints) {
   if (constraints.size() < 2) return 0.0;
-  // Materialize the target sets once; pairwise intersect.
-  std::vector<std::vector<RowId>> targets;
-  targets.reserve(constraints.size());
-  for (const auto& c : constraints) targets.push_back(c.TargetTuples(relation));
-
+  const TargetSets targets = FindTargets(relation, constraints);
+  const TargetOverlaps overlaps =
+      ComputeOverlaps(targets.Lists(), relation.NumRows());
+  // Disjoint pairs add exactly 0.0, so summing the intersecting pairs in
+  // (i, j) order gives the all-pairs sum bit for bit.
   double total = 0.0;
-  size_t pairs = 0;
-  for (size_t i = 0; i < targets.size(); ++i) {
-    for (size_t j = i + 1; j < targets.size(); ++j) {
-      ++pairs;
-      if (targets[i].empty() || targets[j].empty()) continue;
-      size_t overlap = SortedIntersectionSize(targets[i], targets[j]);
-      total += static_cast<double>(overlap) /
-               static_cast<double>(std::min(targets[i].size(),
-                                            targets[j].size()));
-    }
+  for (const TargetOverlap& pair : overlaps.pairs) {
+    total += static_cast<double>(pair.overlap) /
+             static_cast<double>(std::min(targets[pair.i].size(),
+                                          targets[pair.j].size()));
   }
-  return total / static_cast<double>(pairs);
+  const size_t n = constraints.size();
+  return total / static_cast<double>(n * (n - 1) / 2);
 }
 
 }  // namespace diva

@@ -42,9 +42,13 @@ class DiversityConstraint {
   uint32_t lower() const { return lower_; }
   uint32_t upper() const { return upper_; }
 
-  /// True if the tuple `row` of `relation` carries the target values on
-  /// every target attribute.
-  bool MatchesRow(const Relation& relation, RowId row) const;
+  /// Resolves the target values to codes in `relation`'s dictionaries,
+  /// parallel to attribute_indices(). Returns false when some value
+  /// never occurs in the relation (then no row matches). Checking many
+  /// rows goes through a TargetMatcher (constraint/targets.h), which
+  /// resolves once.
+  bool ResolveCodes(const Relation& relation,
+                    std::vector<ValueCode>* codes) const;
 
   /// Number of tuples of `relation` matching the target (the validation
   /// count query of Definition 2.3).
@@ -69,31 +73,19 @@ class DiversityConstraint {
   std::vector<std::string> values_;
   uint32_t lower_ = 0;
   uint32_t upper_ = 0;
-
-  // Per-relation resolution cache would be unsafe (constraints outlive
-  // relations); resolution is recomputed per call and is O(|X|) hash
-  // lookups, negligible next to the row scan.
 };
 
 /// A set Sigma of diversity constraints. R |= Sigma iff R satisfies every
 /// member (Definition 2.3).
 using ConstraintSet = std::vector<DiversityConstraint>;
 
-/// True iff relation satisfies every constraint in `constraints`.
+/// True iff relation satisfies every constraint in `constraints` (one
+/// CountAllOccurrences pass).
 bool SatisfiesAll(const Relation& relation, const ConstraintSet& constraints);
 
-/// Indices of constraints in `constraints` violated by `relation`.
+/// Indices of constraints in `constraints` violated by `relation` (one
+/// CountAllOccurrences pass).
 std::vector<size_t> ViolatedConstraints(const Relation& relation,
-                                        const ConstraintSet& constraints);
-
-/// Occurrence counts of every constraint in one pass over the relation:
-/// counts[i] == constraints[i].CountOccurrences(relation), exactly.
-/// Single-attribute constraints (the common case) read per-attribute code
-/// histograms built in one parallel scan, so the cost is O(|R| * |QI|)
-/// instead of O(|R| * |Sigma|); multi-attribute constraints share one
-/// additional row scan. Exact integer sums, so the result is identical
-/// at every thread width.
-std::vector<size_t> CountAllOccurrences(const Relation& relation,
                                         const ConstraintSet& constraints);
 
 }  // namespace diva

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/rng.h"
-#include "constraint/conflict.h"
+#include "constraint/targets.h"
 
 namespace diva {
 
@@ -15,24 +15,28 @@ bool ConstraintGraph::HasEdge(size_t i, size_t j) const {
 ConstraintGraph BuildConstraintGraph(const Relation& relation,
                                      const ConstraintSet& constraints) {
   ConstraintGraph graph;
-  graph.targets.reserve(constraints.size());
-  for (const auto& constraint : constraints) {
-    graph.targets.push_back(constraint.TargetTuples(relation));
+  const TargetSets sets = FindTargets(relation, constraints);
+  graph.targets.reserve(sets.size());
+  for (size_t c = 0; c < sets.size(); ++c) {
+    graph.targets.emplace_back(sets[c].begin(), sets[c].end());
   }
-  graph.adjacency.assign(constraints.size(), {});
-  for (size_t i = 0; i < constraints.size(); ++i) {
-    for (size_t j = i + 1; j < constraints.size(); ++j) {
-      if (SortedIntersectionSize(graph.targets[i], graph.targets[j]) > 0) {
-        graph.adjacency[i].push_back(j);
-        graph.adjacency[j].push_back(i);
-      }
-    }
-  }
-  for (auto& neighbors : graph.adjacency) {
-    std::sort(neighbors.begin(), neighbors.end());
-  }
+  LinkOverlappingTargets(&graph, relation.NumRows());
   graph.row_tags = MakeRowTags(relation.NumRows());
   return graph;
+}
+
+void LinkOverlappingTargets(ConstraintGraph* graph, size_t num_rows) {
+  const std::vector<std::span<const RowId>> lists(graph->targets.begin(),
+                                                  graph->targets.end());
+  const TargetOverlaps overlaps = ComputeOverlaps(lists, num_rows);
+  // Pairs arrive sorted by (i, j), so every neighbor list fills in
+  // ascending order: first the i < node, then the j > node.
+  graph->adjacency.assign(graph->targets.size(), {});
+  for (const TargetOverlap& pair : overlaps.pairs) {
+    graph->adjacency[pair.i].push_back(pair.j);
+    graph->adjacency[pair.j].push_back(pair.i);
+  }
+  graph->incidence_visits = overlaps.incidence_visits;
 }
 
 std::vector<uint64_t> MakeRowTags(size_t num_rows) {

@@ -26,13 +26,25 @@ struct ConstraintGraph {
   /// on them) are identical across runs and thread widths.
   std::vector<uint64_t> row_tags;
 
+  /// Work counter of the overlap sweep that built `adjacency`
+  /// (TargetOverlaps::incidence_visits); 0 for a hand-built graph. A
+  /// pure function of `targets`, reported as graph.incidence_visits.
+  uint64_t incidence_visits = 0;
+
   size_t NumNodes() const { return targets.size(); }
   bool HasEdge(size_t i, size_t j) const;
 };
 
-/// Builds the graph for (R, Sigma) — BuildGraph of Algorithm 3.
+/// Builds the graph for (R, Sigma) — BuildGraph of Algorithm 3: every
+/// I_sigma from one row pass (FindTargets), the edges from one overlap
+/// sweep (ComputeOverlaps).
 ConstraintGraph BuildConstraintGraph(const Relation& relation,
                                      const ConstraintSet& constraints);
+
+/// Rebuilds `graph->adjacency` and `graph->incidence_visits` from
+/// `graph->targets` (sorted lists of row ids < num_rows) with one
+/// overlap sweep. Shared by the cold build and incremental maintenance.
+void LinkOverlappingTargets(ConstraintGraph* graph, size_t num_rows);
 
 /// The fixed-seed tag table BuildConstraintGraph stores in `row_tags`.
 /// Exposed so the coloring engine can regenerate identical tags for a

@@ -323,6 +323,9 @@ Result<DivaResult> RunDivaPipeline(const Relation& relation,
       built_graph = BuildConstraintGraph(relation, constraints);
       graph = &built_graph;
     }
+    // Counted here, not in the build, so an incremental run's maintained
+    // graph reports the same work as a cold build of the same relation.
+    DIVA_COUNTER_ADD("graph.incidence_visits", graph->incidence_visits);
 
     for (size_t i = 0; i < constraints.size(); ++i) {
       // Static infeasibility: a lower bound can only be met by clusters of

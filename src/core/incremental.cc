@@ -9,7 +9,7 @@
 #include "common/parallel.h"
 #include "common/string_util.h"
 #include "common/trace.h"
-#include "constraint/conflict.h"
+#include "constraint/targets.h"
 #include "relation/qi_groups.h"
 
 namespace diva {
@@ -239,54 +239,28 @@ Result<DivaResult> ApplyDelta(const PipelineSnapshot& prior,
 
   // I_sigma maintenance: drop deleted rows from each target list and
   // remap survivors (order-preserving, so the list stays ascending),
-  // then append matching inserted rows (ids ascend past every survivor).
-  // A constraint whose target value only now entered the dictionary has
-  // an empty prior list — correct, since no prior row could carry an
-  // un-interned value.
+  // then append the inserted rows each constraint matches, found by one
+  // indexed pass over the inserted range (ids ascend past every
+  // survivor). A constraint whose target value only now entered the
+  // dictionary has an empty prior list — correct, since no prior row
+  // could carry an un-interned value.
   const size_t num_constraints = constraints.size();
+  const TargetSets inserted = FindTargets(post, constraints, num_kept);
   ConstraintGraph graph;
   graph.targets.resize(num_constraints);
-  std::vector<uint8_t> changed(num_constraints, 0);
   for (size_t c = 0; c < num_constraints; ++c) {
     const std::vector<RowId>& old_targets = prior.graph.targets[c];
     std::vector<RowId>& targets = graph.targets[c];
-    targets.reserve(old_targets.size());
+    targets.reserve(old_targets.size() + inserted[c].size());
     for (RowId row : old_targets) {
-      if (new_id[row] == kGone) {
-        changed[c] = 1;
-        continue;
-      }
-      targets.push_back(new_id[row]);
+      if (new_id[row] != kGone) targets.push_back(new_id[row]);
     }
-    for (RowId row = static_cast<RowId>(num_kept);
-         row < static_cast<RowId>(num_new); ++row) {
-      if (constraints[c].MatchesRow(post, row)) {
-        targets.push_back(row);
-        changed[c] = 1;
-      }
-    }
+    targets.insert(targets.end(), inserted[c].begin(), inserted[c].end());
   }
 
-  // Conflict-edge maintenance: a pair's intersection emptiness is
-  // invariant under the order-preserving remap, so only pairs touching a
-  // changed constraint recompute their SortedIntersectionSize; the rest
-  // keep the prior edge bit.
-  graph.adjacency.assign(num_constraints, {});
-  for (size_t i = 0; i < num_constraints; ++i) {
-    for (size_t j = i + 1; j < num_constraints; ++j) {
-      bool edge;
-      if (!changed[i] && !changed[j]) {
-        const std::vector<size_t>& prior_adj = prior.graph.adjacency[i];
-        edge = std::binary_search(prior_adj.begin(), prior_adj.end(), j);
-      } else {
-        edge = SortedIntersectionSize(graph.targets[i], graph.targets[j]) > 0;
-      }
-      if (edge) {
-        graph.adjacency[i].push_back(j);
-        graph.adjacency[j].push_back(i);
-      }
-    }
-  }
+  // Conflict edges from one overlap sweep over the maintained lists —
+  // the same sweep, on the same lists, as a cold build of `post`.
+  LinkOverlappingTargets(&graph, num_new);
   graph.row_tags = MakeRowTags(num_new);
 
   ShardPlan plan = ComputeShardPlan(graph, num_new);

@@ -6,6 +6,7 @@
 #include "common/counters.h"
 #include "common/parallel.h"
 #include "common/trace.h"
+#include "constraint/targets.h"
 
 namespace diva {
 
@@ -37,14 +38,16 @@ size_t QiTargetAttribute(const Relation& relation,
 /// Per-constraint occurrence counts computed once up front (one batched
 /// pass) and decremented exactly under every repair suppression, so each
 /// lookup equals what CountOccurrences would return on the live relation
-/// without rescanning it per constraint.
+/// without rescanning it per constraint. Holds one matcher per
+/// constraint, resolved once: suppression never interns a value.
 class MaintainedCounts {
  public:
   MaintainedCounts(const Relation& relation, const ConstraintSet& constraints)
-      : constraints_(constraints),
-        counts_(CountAllOccurrences(relation, constraints)),
+      : counts_(CountAllOccurrences(relation, constraints)),
         by_attr_(relation.NumAttributes()) {
+    matchers_.reserve(constraints.size());
     for (size_t c = 0; c < constraints.size(); ++c) {
+      matchers_.emplace_back(constraints[c], relation);
       for (size_t attr : constraints[c].attribute_indices()) {
         by_attr_[attr].push_back(c);
       }
@@ -55,19 +58,23 @@ class MaintainedCounts {
     return counts_[constraint_index];
   }
 
+  const TargetMatcher& matcher(size_t constraint_index) const {
+    return matchers_[constraint_index];
+  }
+
   /// Suppresses cell (row, attr) in *relation. A cell can only stop
   /// matching (target codes are never kSuppressed), so the count of every
   /// constraint the row matched on `attr` drops by exactly one.
   void Suppress(Relation* relation, RowId row, size_t attr) {
     for (size_t c : by_attr_[attr]) {
-      if (constraints_[c].MatchesRow(*relation, row)) --counts_[c];
+      if (matchers_[c].Matches(*relation, row)) --counts_[c];
     }
     relation->Set(row, attr, kSuppressed);
   }
 
  private:
-  const ConstraintSet& constraints_;
   std::vector<size_t> counts_;
+  std::vector<TargetMatcher> matchers_;
   std::vector<std::vector<size_t>> by_attr_;
 };
 
@@ -85,6 +92,7 @@ IntegrateStats IntegrateRepair(Relation* relation,
     size_t count = counts.count(ci);
     if (count <= constraint.upper()) continue;
     size_t excess = count - constraint.upper();
+    const TargetMatcher& matcher = counts.matcher(ci);
     ++stats.repaired_constraints;
 
     std::optional<size_t> sensitive_attr =
@@ -96,7 +104,7 @@ IntegrateStats IntegrateRepair(Relation* relation,
       for (const Cluster& cluster : rk_clusters) {
         for (RowId row : cluster) {
           if (excess == 0) break;
-          if (constraint.MatchesRow(*relation, row)) {
+          if (matcher.Matches(*relation, row)) {
             counts.Suppress(relation, row, *sensitive_attr);
             ++stats.suppressed_cells;
             --excess;
@@ -122,7 +130,7 @@ IntegrateStats IntegrateRepair(Relation* relation,
           for (size_t c = begin; c < end; ++c) {
             const Cluster& cluster = rk_clusters[c];
             if (!cluster.empty() &&
-                constraint.MatchesRow(*relation, cluster.front())) {
+                matcher.Matches(*relation, cluster.front())) {
               local.push_back(c);
             }
           }

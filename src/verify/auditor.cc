@@ -168,54 +168,76 @@ void CheckGroupSizes(const Relation& relation, size_t k,
   }
 }
 
-/// Counts each constraint's occurrences with a plain row scan (no shared
-/// code with DiversityConstraint::CountOccurrences) and records bound
-/// breaches.
+/// Counts every constraint's occurrences in one row pass and records
+/// bound breaches in constraint order. Shares no code with constraint/:
+/// the targets are resolved here and bucketed by (first attribute,
+/// code), so each row checks only the constraints whose first value it
+/// carries.
 void CheckConstraintBounds(const Relation& relation,
                            const ConstraintSet& constraints,
                            const AuditOptions& options,
                            ViolationRecorder* recorder, AuditStats* stats) {
-  stats->constraint_counts.assign(constraints.size(), 0);
-  for (size_t ci = 0; ci < constraints.size(); ++ci) {
+  const size_t n = constraints.size();
+  // Resolve the target values against the output dictionaries; a value
+  // absent from a dictionary can never match (count stays 0).
+  std::vector<std::vector<ValueCode>> targets(n);
+  // buckets[attr][code] = constraints whose first target is (attr, code),
+  // ascending; attrs lists each bucketed attribute once.
+  std::vector<std::vector<std::vector<size_t>>> buckets(
+      relation.NumAttributes());
+  std::vector<size_t> attrs;
+  for (size_t ci = 0; ci < n; ++ci) {
     const DiversityConstraint& constraint = constraints[ci];
-    const std::vector<size_t>& attrs = constraint.attribute_indices();
-    // Resolve the target values against the output dictionaries; a value
-    // absent from a dictionary can never match (count stays 0).
-    std::vector<ValueCode> targets(attrs.size());
-    bool resolvable = true;
-    for (size_t i = 0; i < attrs.size() && resolvable; ++i) {
-      auto code = relation.FindCode(attrs[i], constraint.values()[i]);
-      if (code.has_value()) {
-        targets[i] = *code;
-      } else {
-        resolvable = false;
-      }
+    const std::vector<size_t>& cols = constraint.attribute_indices();
+    std::vector<ValueCode> codes;
+    for (size_t i = 0; i < cols.size(); ++i) {
+      auto code = relation.FindCode(cols[i], constraint.values()[i]);
+      if (!code.has_value()) break;
+      codes.push_back(*code);
     }
-    // The constraint loop itself stays sequential so the recorder sees
-    // violations in constraint order; the row scan underneath carries
-    // the parallelism as an exact chunked integer sum.
-    size_t count = 0;
-    if (resolvable) {
-      count = ParallelReduce<size_t>(
-          relation.NumRows(), /*grain=*/0, size_t{0},
-          [&](size_t begin, size_t end) {
-            size_t local = 0;
-            for (size_t row = begin; row < end; ++row) {
-              bool match = true;
-              for (size_t i = 0; i < attrs.size(); ++i) {
-                if (relation.At(static_cast<RowId>(row), attrs[i]) !=
-                    targets[i]) {
-                  match = false;
-                  break;
-                }
-              }
-              local += match ? 1 : 0;
+    if (codes.size() != cols.size()) continue;
+    std::vector<std::vector<size_t>>& by_code = buckets[cols[0]];
+    if (by_code.empty()) {
+      attrs.push_back(cols[0]);
+      by_code.resize(relation.dictionary(cols[0]).size());
+    }
+    by_code[static_cast<size_t>(codes[0])].push_back(ci);
+    targets[ci] = std::move(codes);
+  }
+  // Per-chunk count vectors merged by exact integer sums, so the counts
+  // are identical at every thread width.
+  stats->constraint_counts = ParallelReduce<std::vector<size_t>>(
+      relation.NumRows(), /*grain=*/0, std::vector<size_t>(n, 0),
+      [&](size_t begin, size_t end) {
+        std::vector<size_t> local(n, 0);
+        for (size_t row = begin; row < end; ++row) {
+          const RowId id = static_cast<RowId>(row);
+          for (size_t attr : attrs) {
+            const ValueCode code = relation.At(id, attr);
+            if (code < 0 ||
+                static_cast<size_t>(code) >= buckets[attr].size()) {
+              continue;
             }
-            return local;
-          },
-          [](size_t a, size_t b) { return a + b; });
-    }
-    stats->constraint_counts[ci] = count;
+            for (size_t ci : buckets[attr][static_cast<size_t>(code)]) {
+              const std::vector<size_t>& cols =
+                  constraints[ci].attribute_indices();
+              bool match = true;
+              for (size_t i = 1; i < cols.size() && match; ++i) {
+                match = relation.At(id, cols[i]) == targets[ci][i];
+              }
+              local[ci] += match ? 1 : 0;
+            }
+          }
+        }
+        return local;
+      },
+      [](std::vector<size_t> acc, std::vector<size_t> chunk) {
+        for (size_t ci = 0; ci < acc.size(); ++ci) acc[ci] += chunk[ci];
+        return acc;
+      });
+  for (size_t ci = 0; ci < n; ++ci) {
+    const DiversityConstraint& constraint = constraints[ci];
+    const size_t count = stats->constraint_counts[ci];
     bool in_bounds =
         count >= constraint.lower() && count <= constraint.upper();
     if (!in_bounds && !IsWaived(options, ci)) {

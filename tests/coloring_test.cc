@@ -7,6 +7,7 @@
 #include "common/parallel.h"
 #include "common/trace.h"
 #include "constraint/generator.h"
+#include "constraint/targets.h"
 #include "core/coloring.h"
 #include "core/constraint_graph.h"
 #include "core/diva.h"
@@ -425,11 +426,12 @@ TEST(ColoringTest, PreservedMatchesChosenClusters) {
   ColoringOutcome outcome = Color(r, constraints, options);
   ASSERT_TRUE(outcome.complete);
   for (size_t j = 0; j < constraints.size(); ++j) {
+    const TargetMatcher matcher(constraints[j], r);
     uint64_t expected = 0;
     for (const Cluster& cluster : outcome.chosen_clusters) {
       bool all_match = true;
       for (RowId row : cluster) {
-        if (!constraints[j].MatchesRow(r, row)) {
+        if (!matcher.Matches(r, row)) {
           all_match = false;
           break;
         }
