@@ -60,6 +60,19 @@ inline void AppendIntMetric(std::string* json, const char* key,
   *first = false;
 }
 
+/// Order-sensitive FNV-1a over every published cell — cheap byte
+/// identity for 1M-row outputs without serializing them.
+inline uint64_t HashRelation(const Relation& relation) {
+  uint64_t hash = 1469598103934665603ULL;
+  for (RowId row = 0; row < relation.NumRows(); ++row) {
+    for (const ValueCode code : relation.Row(row)) {
+      hash ^= static_cast<uint64_t>(code) + 1;
+      hash *= 1099511628211ULL;
+    }
+  }
+  return hash;
+}
+
 /// Value of counter `name` in a counter delta (0 when it did not move).
 inline uint64_t CounterValue(const std::vector<counters::Sample>& delta,
                              const std::string& name) {

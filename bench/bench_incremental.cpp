@@ -157,18 +157,6 @@ DeltaBatch BuildChurn() {
   return delta;
 }
 
-/// Order-sensitive FNV-1a over every published cell.
-uint64_t HashRelation(const Relation& relation) {
-  uint64_t hash = 1469598103934665603ULL;
-  for (RowId row = 0; row < relation.NumRows(); ++row) {
-    for (const ValueCode code : relation.Row(row)) {
-      hash ^= static_cast<uint64_t>(code) + 1;
-      hash *= 1099511628211ULL;
-    }
-  }
-  return hash;
-}
-
 DivaOptions BenchOptions() {
   DivaOptions options;
   options.k = kK;

@@ -14,15 +14,15 @@
 //              no-op.
 //
 // The timed region is the whole RunDiva pipeline (graph build, sharded
-// coloring, integration over a Mondrian baseline, suppression, report).
-// Two legs, min-over-reps each: DivaOptions::shard on (concurrent
-// per-component work items) and off (the same per-shard computations,
-// sequential). The published relation must hash identically across legs
-// and reps — the shard flag is an execution knob, never a semantic one
-// (core/shard.h) — and the deterministic report metrics gate CI via
-// tools/bench_diff.py against bench/baselines/BENCH_scale.json. Timing
-// keys are informational per machine; the sharding payoff itself is
-// gated in CI as the t1/t8 wall ratio across two DIVA_THREADS runs.
+// coloring, integration over a Mondrian baseline, suppression, report),
+// min over reps. The published relation must hash identically across
+// reps; its hash halves (output_hash_lo/hi) and the deterministic report
+// metrics gate CI via tools/bench_diff.py against
+// bench/baselines/BENCH_scale.json, so a DIVA_THREADS=1 run and a
+// DIVA_THREADS=8 run — shards inline vs concurrent (core/shard.h) —
+// must publish the same bytes. Timing keys are informational per
+// machine; the sharding payoff itself is gated in CI as the t1/t8 wall
+// ratio across the two runs.
 //
 // Usage: bench_scale [out.json]
 
@@ -138,36 +138,22 @@ ScaleWorkload BuildWorkload() {
   return {std::move(relation), std::move(constraints).value()};
 }
 
-/// Order-sensitive FNV-1a over every published cell — cheap byte
-/// identity for 1M-row outputs without serializing them.
-uint64_t HashRelation(const Relation& relation) {
-  uint64_t hash = 1469598103934665603ULL;
-  for (RowId row = 0; row < relation.NumRows(); ++row) {
-    for (const ValueCode code : relation.Row(row)) {
-      hash ^= static_cast<uint64_t>(code) + 1;
-      hash *= 1099511628211ULL;
-    }
-  }
-  return hash;
-}
-
 struct LegResult {
   double wall_seconds = 0.0;  // min over reps
   uint64_t output_hash = 0;
   DivaReport report;  // of the rep whose wall is `wall_seconds`
 };
 
-DivaOptions LegOptions(bool shard) {
+DivaOptions LegOptions() {
   DivaOptions options;
   options.k = kK;
   options.seed = kSeed;
-  options.shard = shard;
   options.baseline = BaselineAlgorithm::kMondrian;
   return options;
 }
 
-LegResult RunLeg(const ScaleWorkload& workload, bool shard) {
-  const DivaOptions options = LegOptions(shard);
+LegResult RunLeg(const ScaleWorkload& workload) {
+  const DivaOptions options = LegOptions();
   LegResult result;
   for (size_t rep = 0; rep < Reps(); ++rep) {
     StopWatch watch;
@@ -197,65 +183,61 @@ int main(int argc, char** argv) {
 
   StopWatch build_watch;
   ScaleWorkload workload = BuildWorkload();
-  // The pool width the legs run at (DivaOptions::threads, which
+  // The pool width the leg runs at (DivaOptions::threads, which
   // defaults to DIVA_THREADS), not the hardware count.
   std::printf("built %zu rows, %zu constraints in %.2fs (threads=%zu)\n",
               workload.relation.NumRows(), workload.constraints.size(),
               build_watch.ElapsedSeconds(),
-              ResolveThreadCount(LegOptions(true).threads));
+              ResolveThreadCount(LegOptions().threads));
 
-  LegResult on = RunLeg(workload, /*shard=*/true);
-  LegResult off = RunLeg(workload, /*shard=*/false);
-  DIVA_CHECK_MSG(on.output_hash == off.output_hash,
-                 "shard flag changed the published bytes");
-  DIVA_CHECK_MSG(on.report.shards == kNumRegions,
+  LegResult scale = RunLeg(workload);
+  DIVA_CHECK_MSG(scale.report.shards == kNumRegions,
                  "unexpected component count");
 
-  double shard_speedup = off.wall_seconds / on.wall_seconds;
   std::printf(
       "scale_1m     shards=%zu residual=%zu complete=%d steps=%llu "
       "backtracks=%llu\n"
-      "             wall=%.3fs (min of %zu, shard on)  shard-off=%.3fs "
-      "(x%.2f)\n"
+      "             wall=%.3fs (min of %zu)  output_hash=%016llx\n"
       "             sigma_rows=%zu repair_cells=%zu\n"
       "             phases: clustering=%.3fs anonymize=%.3fs "
       "integrate=%.3fs\n\n",
-      on.report.shards, on.report.residual_rows,
-      (int)on.report.clustering_complete,
-      (unsigned long long)on.report.coloring_steps,
-      (unsigned long long)on.report.backtracks, on.wall_seconds, Reps(),
-      off.wall_seconds, shard_speedup, on.report.sigma_rows,
-      on.report.repair_cells, on.report.clustering_seconds,
-      on.report.anonymize_seconds, on.report.integrate_seconds);
+      scale.report.shards, scale.report.residual_rows,
+      (int)scale.report.clustering_complete,
+      (unsigned long long)scale.report.coloring_steps,
+      (unsigned long long)scale.report.backtracks, scale.wall_seconds, Reps(),
+      (unsigned long long)scale.output_hash, scale.report.sigma_rows,
+      scale.report.repair_cells, scale.report.clustering_seconds,
+      scale.report.anonymize_seconds, scale.report.integrate_seconds);
 
   std::string json = "{\n  \"scale_1m\": {\n";
   bool first = true;
-  AppendMetric(&json, "steps", (double)on.report.coloring_steps, &first);
-  AppendMetric(&json, "backtracks", (double)on.report.backtracks, &first);
-  AppendMetric(&json, "complete", on.report.clustering_complete ? 1 : 0,
+  AppendMetric(&json, "steps", (double)scale.report.coloring_steps, &first);
+  AppendMetric(&json, "backtracks", (double)scale.report.backtracks, &first);
+  AppendMetric(&json, "complete", scale.report.clustering_complete ? 1 : 0,
                &first);
-  AppendMetric(&json, "shards", (double)on.report.shards, &first);
-  AppendMetric(&json, "residual_rows", (double)on.report.residual_rows,
+  AppendMetric(&json, "shards", (double)scale.report.shards, &first);
+  AppendMetric(&json, "residual_rows", (double)scale.report.residual_rows,
                &first);
-  AppendMetric(&json, "sigma_rows", (double)on.report.sigma_rows, &first);
-  AppendMetric(&json, "repair_cells", (double)on.report.repair_cells, &first);
+  AppendMetric(&json, "sigma_rows", (double)scale.report.sigma_rows, &first);
+  AppendMetric(&json, "repair_cells", (double)scale.report.repair_cells,
+               &first);
   AppendMetric(&json, "colored_constraints",
-               (double)on.report.colored_constraints, &first);
+               (double)scale.report.colored_constraints, &first);
   // The conflict graph's overlap sweep: Σ_r m_r·(m_r − 1)/2 entries.
-  AppendIntMetric(&json, "incidence_visits",
-                  CounterValue(on.report.counters, "graph.incidence_visits"),
-                  &first);
-  AppendMetric(&json, "wall_seconds", on.wall_seconds, &first);
-  AppendMetric(&json, "shard_off_seconds", off.wall_seconds, &first);
-  AppendMetric(&json, "clustering_seconds", on.report.clustering_seconds,
+  AppendIntMetric(
+      &json, "incidence_visits",
+      CounterValue(scale.report.counters, "graph.incidence_visits"), &first);
+  // Published-bytes identity, split so each half is exact in JSON.
+  AppendIntMetric(&json, "output_hash_lo",
+                  scale.output_hash & 0xffffffffULL, &first);
+  AppendIntMetric(&json, "output_hash_hi", scale.output_hash >> 32, &first);
+  AppendMetric(&json, "wall_seconds", scale.wall_seconds, &first);
+  AppendMetric(&json, "clustering_seconds", scale.report.clustering_seconds,
                &first);
-  AppendMetric(&json, "anonymize_seconds", on.report.anonymize_seconds,
+  AppendMetric(&json, "anonymize_seconds", scale.report.anonymize_seconds,
                &first);
-  AppendMetric(&json, "integrate_seconds", on.report.integrate_seconds,
+  AppendMetric(&json, "integrate_seconds", scale.report.integrate_seconds,
                &first);
-  // exec_-prefixed: the on/off wall ratio is machine- and
-  // scheduling-dependent, never gated by bench_diff.
-  AppendMetric(&json, "exec_shard_speedup", shard_speedup, &first);
   json += "\n  }\n}\n";
 
   if (argc > 1) {

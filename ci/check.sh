@@ -21,8 +21,8 @@
 #      via tools/bench_diff.py (deterministic metrics, 10% tolerance)
 #   9. scale gate: bench_scale (pinned 1M-row / 64-component shape, end
 #      to end) vs bench/baselines/BENCH_scale.json at tolerance 0, plus the
-#      shard-equivalence cross-width diff at tolerance 0 — the shard
-#      on/off output-hash equality is asserted inside the bench itself
+#      shard-equivalence cross-width diff at tolerance 0 — the pinned
+#      output-hash halves make both widths publish the same bytes
 #  10. incremental gate: bench_incremental (the bench_scale shape under
 #      a 1% churn, cold re-run vs ApplyDelta replay; output-hash
 #      equality asserted inside the bench) vs
@@ -126,9 +126,9 @@ DIVA_THREADS=1 \
 python3 tools/bench_diff.py --tolerance 0 \
   bench/baselines/BENCH_scale.json /tmp/BENCH_scale_t1.$$.json
 
-# Shard equivalence at width: the sharded pipeline's deterministic shape
-# metrics are exact at every pool width (the published-bytes hash
-# equality across shard on/off is a DIVA_CHECK inside the bench); the
+# Shard equivalence at width: shards run inline at DIVA_THREADS=1 and
+# concurrently at 8, and the deterministic shape metrics — the
+# published-output hash halves included — must match exactly; the
 # end-to-end t1/t8 payoff ratio is gated in CI, where real cores exist.
 step "scale gate: cross-width determinism (DIVA_THREADS=1 vs 8, tolerance 0)"
 DIVA_THREADS=8 \

@@ -7,7 +7,7 @@
 // Usage:
 //   anonymize_cli --input data.csv --schema schema.txt --k 10
 //       [--constraints sigma.txt] [--algorithm diva|kmember|oka|mondrian]
-//       [--strategy basic|minchoice|maxfanout] [--seed N] [--shard on|off]
+//       [--strategy basic|minchoice|maxfanout] [--seed N]
 //       [--taxonomy ATTR=taxonomy.txt]... [--json]
 //       [--strict] [--deadline-ms N] [--trace-out trace.json]
 //       [--apply-delta delta.txt] [--output out.csv]
@@ -22,11 +22,10 @@
 // "+ v1,v2,..." inserts a row ("*" = suppressed cell); '#' comments and
 // blank lines are ignored.
 //
-// --shard on|off (default on) selects how multi-component instances
-// execute: on runs each conflict-graph component as a concurrent work
-// item, off runs the identical per-component searches sequentially.
-// Like DIVA_THREADS this is an execution knob — output bytes never
-// change (see docs/development.md, "Component sharding").
+// Multi-component instances color each conflict-graph component as its
+// own work item; DIVA_THREADS decides how many run at once, and output
+// bytes never depend on it (see docs/development.md, "Component
+// sharding").
 //
 // --deadline-ms N bounds the run's wall time: on expiry DIVA publishes
 // its best-effort (still k-anonymous) relation and flags the degraded
@@ -231,16 +230,6 @@ int main(int argc, char** argv) {
     options.cancel = InterruptToken();
     // A traced run audits too, so the trace shows every pipeline phase.
     if (tracing) options.audit = true;
-    if (args.count("shard")) {
-      std::string shard = ToLowerAscii(args["shard"]);
-      if (shard == "on" || shard == "1" || shard == "true") {
-        options.shard = true;
-      } else if (shard == "off" || shard == "0" || shard == "false") {
-        options.shard = false;
-      } else {
-        return Fail("--shard must be on or off");
-      }
-    }
     if (args.count("deadline-ms")) {
       auto deadline_ms = ParseInt64(args["deadline-ms"]);
       if (!deadline_ms.ok() || *deadline_ms < 0) {

@@ -355,8 +355,8 @@ Result<DivaResult> RunDivaPipeline(const Relation& relation,
     coloring_options.deadline = token;
 
     // The component partition of the conflict graph (core/shard.h): a
-    // pure function of the instance, computed in both execution modes so
-    // the report's shard figures never depend on the shard flag.
+    // pure function of the instance, so the report's shard figures never
+    // depend on the thread width.
     if (plan == nullptr) {
       DIVA_RETURN_IF_ERROR(DIVA_FAIL("shard.partition"));
       built_plan = ComputeShardPlan(*graph, relation.NumRows());
@@ -374,14 +374,12 @@ Result<DivaResult> RunDivaPipeline(const Relation& relation,
     // chunks instead of finishing a doomed sweep.
     ScopedLoopCancellation loop_cancel(token);
     if (plan->Effective()) {
-      // >= 2 independent components: the plan drives the search in both
-      // modes; options.shard only picks concurrent vs sequential
-      // execution (the shard fan-out replaces the attempt portfolio).
-      // Shards materialize as column slices of one arena-backed
-      // snapshot instead of row-major copies of the whole relation.
+      // >= 2 independent components: the plan drives the search; the
+      // thread width only decides where the shards run. Shards
+      // materialize as column slices of one columnar snapshot instead of
+      // row-major copies of the whole relation.
       const ColumnStore store = ColumnStore::FromRelation(relation);
-      const size_t workers =
-          options.shard ? ResolveThreadCount(options.threads) : 1;
+      const size_t workers = ResolveThreadCount(options.threads);
       const std::vector<const ShardColoringRecord*>* adopt =
           hooks.adopt_coloring.empty() ? nullptr : &hooks.adopt_coloring;
       std::vector<ShardColoringRecord>* capture_coloring =

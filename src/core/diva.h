@@ -80,18 +80,6 @@ struct DivaOptions {
   /// so it configures the process-global pool.
   size_t threads = EnvThreads();
 
-  /// Component sharding of the coloring phase (core/shard.h). The
-  /// conflict graph's connected components are independent subproblems;
-  /// whenever there are >= 2, the shard *plan* fixes every search
-  /// decision (per-shard seed streams, per-shard sub-relations) and this
-  /// flag only chooses the execution mode: true runs shards concurrently
-  /// as TaskGroup work items, false runs the identical computations
-  /// sequentially. Like `threads`, it never changes output bytes —
-  /// tests/shard_test.cc pins sharded == unsharded on the fuzz corpus.
-  /// Single-component instances take the legacy global search either
-  /// way (automatic fallback), so the paper example is untouched.
-  bool shard = true;
-
   /// Optional t-closeness on top of k-anonymity (the paper's second
   /// listed privacy extension). 1.0 = off (every relation is 1-close).
   /// When < 1, output QI-groups are merged until each sensitive
@@ -154,8 +142,8 @@ struct DivaReport {
 
   /// Conflict-graph components the coloring decomposed into (the shard
   /// plan of core/shard.h). 0 when there were no constraints; 1 means
-  /// the legacy single-search path ran. Identical with sharding on or
-  /// off — the plan is a pure function of the instance.
+  /// the legacy single-search path ran. Identical at every thread width
+  /// — the plan is a pure function of the instance.
   size_t shards = 0;
   /// Rows no constraint targets (the residual shard): they skip the
   /// coloring entirely and flow to the baseline phase.

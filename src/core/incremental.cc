@@ -10,7 +10,6 @@
 #include "common/string_util.h"
 #include "common/trace.h"
 #include "constraint/targets.h"
-#include "relation/qi_groups.h"
 
 namespace diva {
 
@@ -26,7 +25,7 @@ uint64_t FnvMix(uint64_t h, uint64_t v) {
 }
 
 /// Fingerprint of every DivaOptions knob that steers a search decision.
-/// Execution-only knobs (threads, shard, audit, deadlines, incremental)
+/// Execution-only knobs (threads, audit, deadlines, incremental)
 /// are deliberately excluded: they never change output bytes, so they
 /// never invalidate reuse.
 uint64_t OptionsFingerprint(const DivaOptions& options) {
@@ -59,14 +58,6 @@ std::vector<uint64_t> ComputeRowHashes(const Relation& relation) {
   return ParallelMap<uint64_t>(relation.NumRows(), /*grain=*/1024,
                                [&](size_t row) {
                                  return RowContentHash(
-                                     relation, static_cast<RowId>(row));
-                               });
-}
-
-std::vector<uint64_t> ComputeQiHashes(const Relation& relation) {
-  return ParallelMap<uint64_t>(relation.NumRows(), /*grain=*/1024,
-                               [&](size_t row) {
-                                 return QiProjectionHash(
                                      relation, static_cast<RowId>(row));
                                });
 }
@@ -113,17 +104,13 @@ uint64_t ShardFingerprint(const Shard& shard,
 void FinalizeSnapshot(PipelineSnapshot* snapshot, const Relation& input,
                       const ConstraintSet& constraints,
                       const DivaOptions& options,
-                      std::vector<uint64_t> row_hashes,
-                      std::vector<uint64_t> qi_hashes) {
+                      std::vector<uint64_t> row_hashes) {
   if (!snapshot->valid) return;
   snapshot->input.emplace(input);
   snapshot->constraints = constraints;
   snapshot->row_hashes = row_hashes.size() == input.NumRows()
                              ? std::move(row_hashes)
                              : ComputeRowHashes(input);
-  snapshot->qi_hashes = qi_hashes.size() == input.NumRows()
-                            ? std::move(qi_hashes)
-                            : ComputeQiHashes(input);
   snapshot->dictionary_sizes.clear();
   for (size_t col = 0; col < input.NumAttributes(); ++col) {
     snapshot->dictionary_sizes.push_back(input.dictionary(col).size());
@@ -221,20 +208,17 @@ Result<DivaResult> ApplyDelta(const PipelineSnapshot& prior,
     }
   }
 
-  // Per-row hashes maintained under the delta: survivors keep their
-  // prior content/QI hashes (contents are untouched by compaction),
-  // inserted rows hash fresh.
+  // Per-row content hashes maintained under the delta: survivors keep
+  // their prior hashes (contents are untouched by compaction), inserted
+  // rows hash fresh.
   std::vector<uint64_t> row_hashes(num_new);
-  std::vector<uint64_t> qi_hashes(num_new);
   for (RowId row = 0; row < static_cast<RowId>(num_old); ++row) {
     if (new_id[row] == kGone) continue;
     row_hashes[new_id[row]] = prior.row_hashes[row];
-    qi_hashes[new_id[row]] = prior.qi_hashes[row];
   }
   for (RowId row = static_cast<RowId>(num_kept);
        row < static_cast<RowId>(num_new); ++row) {
     row_hashes[row] = RowContentHash(post, row);
-    qi_hashes[row] = QiProjectionHash(post, row);
   }
 
   // I_sigma maintenance: drop deleted rows from each target list and
@@ -319,7 +303,7 @@ Result<DivaResult> ApplyDelta(const PipelineSnapshot& prior,
 
   if (snapshot->valid) {
     FinalizeSnapshot(snapshot.get(), post, constraints, options,
-                     std::move(row_hashes), std::move(qi_hashes));
+                     std::move(row_hashes));
     result.snapshot = std::move(snapshot);
   }
   return result;

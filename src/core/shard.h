@@ -16,13 +16,13 @@
 /// decision. Each shard colors its sub-relation with its own
 /// deterministic RNG stream (a splitmix of the run seed and the shard
 /// index), full step budget, and locally regenerated row tags, and the
-/// shard outcomes are merged in component-index order. The
-/// DivaOptions::shard flag only chooses *how* those identical per-shard
-/// computations execute — concurrently as TaskGroup work items, or
-/// sequentially inline — so CSV/report/audit bytes are identical with
-/// sharding on or off and at every thread width (tests/shard_test.cc
-/// asserts this on the fuzz corpus). A single-component graph falls back
-/// to the legacy global search, byte-for-byte.
+/// shard outcomes are merged in component-index order. The thread width
+/// only chooses *where* those identical per-shard computations run — on
+/// TaskGroup workers, or inline on the caller at width 1 — so
+/// CSV/report/audit bytes are identical at every thread width
+/// (tests/shard_test.cc asserts this on the fuzz corpus). A
+/// single-component graph falls back to the legacy global search,
+/// byte-for-byte.
 
 #include <cstdint>
 #include <vector>
@@ -81,7 +81,7 @@ struct ShardPlan {
 
 /// Computes the component partition from the already-built conflict
 /// graph. Pure function of (graph, num_rows): identical at every thread
-/// width and in both execution modes.
+/// width.
 ShardPlan ComputeShardPlan(const ConstraintGraph& graph, size_t num_rows);
 
 /// A reusable record of one shard's coloring: the outcome in *local*
@@ -103,12 +103,13 @@ struct ShardColoringRecord {
 /// full relation; each shard colors a column-gathered sub-relation of
 /// its rows against its remapped sub-graph. `base_options` carries the
 /// run's tuned coloring knobs; per-shard seeds are derived from them.
-/// `workers` > 1 executes shards as TaskGroup work items (per-shard
-/// counter/span buffers committed in shard order); <= 1 runs the same
-/// computations sequentially inline. The merged outcome is identical
-/// either way. Fails only via the shard.run / shard.merge failpoints —
-/// a faulted shard discards every shard's buffered telemetry and
-/// surfaces a clean Status, never a partially merged coloring.
+/// Shards run as TaskGroup work items on min(`workers`, shards)
+/// dedicated threads when `workers` > 1, and inline on the caller, in
+/// shard order, otherwise; per-shard counter buffers are committed in
+/// shard order, so the merged outcome and the deterministic counters are
+/// identical at every width. Fails only via the shard.run / shard.merge
+/// failpoints — a faulted shard discards every shard's buffered counters
+/// and surfaces a clean Status, never a partially merged coloring.
 ///
 /// `adopt` (optional, per-shard, nullptr entries allowed) replaces a
 /// shard's live search with a prior ShardColoringRecord: the recorded

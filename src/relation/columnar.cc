@@ -1,48 +1,21 @@
 #include "relation/columnar.h"
 
-#include <algorithm>
-#include <cstdint>
-
 #include "common/logging.h"
 
 namespace diva {
-
-Arena::Arena(size_t chunk_bytes) : chunk_bytes_(chunk_bytes) {
-  DIVA_CHECK_MSG(chunk_bytes_ > 0, "Arena chunk size must be positive");
-}
-
-void* Arena::Allocate(size_t bytes, size_t align) {
-  DIVA_CHECK_MSG(align > 0 && (align & (align - 1)) == 0,
-                 "Arena alignment must be a power of two");
-  if (bytes == 0) bytes = 1;  // distinct non-null pointers for empty arrays
-  if (chunks_.empty() || chunks_.back().used + bytes + align >
-                             chunks_.back().capacity) {
-    Chunk chunk;
-    chunk.capacity = std::max(bytes + align, chunk_bytes_);
-    chunk.data = std::make_unique<std::byte[]>(chunk.capacity);
-    chunks_.push_back(std::move(chunk));
-  }
-  Chunk& chunk = chunks_.back();
-  uintptr_t base = reinterpret_cast<uintptr_t>(chunk.data.get()) + chunk.used;
-  uintptr_t aligned = (base + align - 1) & ~(uintptr_t{align} - 1);
-  chunk.used += (aligned - base) + bytes;
-  allocated_ += bytes;
-  return reinterpret_cast<void*>(aligned);
-}
 
 ColumnStore ColumnStore::FromRelation(const Relation& relation) {
   ColumnStore store(relation.EmptyLike());
   const size_t num_rows = relation.NumRows();
   const size_t num_cols = relation.NumAttributes();
   store.num_rows_ = num_rows;
-  store.columns_.reserve(num_cols);
+  store.num_columns_ = num_cols;
+  store.codes_.resize(num_rows * num_cols);
   for (size_t col = 0; col < num_cols; ++col) {
-    std::span<ValueCode> column =
-        store.arena_.AllocateArray<ValueCode>(num_rows);
+    ValueCode* column = store.codes_.data() + col * num_rows;
     for (size_t row = 0; row < num_rows; ++row) {
       column[row] = relation.At(static_cast<RowId>(row), col);
     }
-    store.columns_.push_back(column);
   }
   return store;
 }
@@ -50,9 +23,8 @@ ColumnStore ColumnStore::FromRelation(const Relation& relation) {
 Relation ColumnStore::GatherRows(std::span<const RowId> rows) const {
   Relation out = prototype_.EmptyLike();
   std::span<ValueCode> block = out.AppendSuppressedRows(rows.size());
-  const size_t stride = columns_.size();
-  for (size_t col = 0; col < stride; ++col) {
-    std::span<const ValueCode> column = columns_[col];
+  for (size_t col = 0; col < num_columns_; ++col) {
+    const ValueCode* column = codes_.data() + col * num_rows_;
     ValueCode* cell = block.data() + col;
     for (RowId row : rows) {
       // Load-bearing bounds check, same contract as Relation::SelectRows:
@@ -60,18 +32,10 @@ Relation ColumnStore::GatherRows(std::span<const RowId> rows) const {
       DIVA_CHECK_MSG(static_cast<size_t>(row) < num_rows_,
                      "GatherRows: row id out of range");
       *cell = column[static_cast<size_t>(row)];
-      cell += stride;
+      cell += num_columns_;
     }
   }
   return out;
-}
-
-Relation ColumnStore::ToRelation() const {
-  std::vector<RowId> all(num_rows_);
-  for (size_t row = 0; row < num_rows_; ++row) {
-    all[row] = static_cast<RowId>(row);
-  }
-  return GatherRows(all);
 }
 
 }  // namespace diva

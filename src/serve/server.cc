@@ -52,6 +52,38 @@ Result<BaselineAlgorithm> ParseBaseline(const std::string& name) {
                                  "' (kmember|oka|mondrian)");
 }
 
+/// The pipeline options of an `anonymize` or `update` request: the
+/// k/l/t/seed/baseline params over the server's defaults, run under the
+/// serving contract. Results are audited before they leave the process,
+/// degraded or not; the self-audit is never skipped by a deadline
+/// (core/diva.cc), so a cancelled run still re-proves its output before
+/// it is published. The request token carries the time budget.
+Result<DivaOptions> ParsePipelineOptions(const Request& request,
+                                         const ServerOptions& server,
+                                         CancellationToken token) {
+  DivaOptions options;
+  DIVA_ASSIGN_OR_RETURN(
+      int64_t k, request.IntParam("k", static_cast<int64_t>(options.k)));
+  if (k < 1) return Status::InvalidArgument("k must be >= 1");
+  DIVA_ASSIGN_OR_RETURN(int64_t l, request.IntParam("l", 0));
+  DIVA_ASSIGN_OR_RETURN(double t, request.DoubleParam("t", 1.0));
+  DIVA_ASSIGN_OR_RETURN(
+      int64_t seed,
+      request.IntParam("seed", static_cast<int64_t>(server.seed)));
+  DIVA_ASSIGN_OR_RETURN(options.baseline,
+                        ParseBaseline(request.Param("baseline", "kmember")));
+  options.k = static_cast<size_t>(k);
+  options.l_diversity = static_cast<size_t>(l);
+  options.t_closeness = t;
+  options.seed = static_cast<uint64_t>(seed);
+  options.threads = server.pipeline_threads;
+  options.audit = true;
+  options.strict = false;
+  options.deadline_ms = 0;
+  options.cancel = std::move(token);
+  return options;
+}
+
 std::string FormatMs(double ms) {
   char buffer[32];
   std::snprintf(buffer, sizeof(buffer), "%.1f", ms);
@@ -588,49 +620,15 @@ void Server::EndUpdate() {
 
 Response Server::HandleAnonymize(const Request& request, StageClock* clock) {
   return AdmitAndRun(request, clock, [&](CancellationToken token) -> Response {
-    DivaOptions diva_options;
-    auto k = request.IntParam("k", static_cast<int64_t>(diva_options.k));
-    if (!k.ok()) return Response::Error(k.status());
-    if (*k < 1) {
-      return Response::Error(Status::InvalidArgument("k must be >= 1"));
-    }
-    auto l = request.IntParam("l", 0);
-    if (!l.ok()) return Response::Error(l.status());
-    auto t = request.DoubleParam("t", 1.0);
-    if (!t.ok()) return Response::Error(t.status());
-    auto seed = request.IntParam("seed",
-                                 static_cast<int64_t>(options_.seed));
-    if (!seed.ok()) return Response::Error(seed.status());
-    auto baseline = ParseBaseline(request.Param("baseline", "kmember"));
-    if (!baseline.ok()) return Response::Error(baseline.status());
-    auto shard =
-        request.IntParam("shard", options_.pipeline_shard ? 1 : 0);
-    if (!shard.ok()) return Response::Error(shard.status());
-
-    diva_options.k = static_cast<size_t>(*k);
-    diva_options.l_diversity = static_cast<size_t>(*l);
-    diva_options.t_closeness = *t;
-    diva_options.seed = static_cast<uint64_t>(*seed);
-    diva_options.baseline = *baseline;
-    diva_options.threads = options_.pipeline_threads;
-    // Execution knob only (core/shard.h): a request gets byte-identical
-    // bytes with sharding on or off, so per-request overrides are safe.
-    diva_options.shard = *shard != 0;
-    // The serving contract: results are audited before they leave the
-    // process, degraded or not. The self-audit is never skipped by a
-    // deadline (core/diva.cc), so a cancelled run still re-proves its
-    // output before we publish and respond.
-    diva_options.audit = true;
-    diva_options.strict = false;
-    diva_options.deadline_ms = 0;  // the request token carries the budget
-    diva_options.cancel = token;
+    auto diva_options = ParsePipelineOptions(request, options_, token);
+    if (!diva_options.ok()) return Response::Error(diva_options.status());
 
     // The lease keeps `update` from swapping the base (or interning into
     // its shared dictionaries) while this run reads it.
     auto lease = BeginRead(token);
     clock->Mark(Stage::kLease);
     if (!lease.ok()) return Response::Error(lease.status());
-    auto result = RunDiva(lease->relation(), constraints_, diva_options);
+    auto result = RunDiva(lease->relation(), constraints_, *diva_options);
     clock->Mark(Stage::kPipeline);
     if (!result.ok()) return Response::Error(result.status());
 
@@ -639,9 +637,9 @@ Response Server::HandleAnonymize(const Request& request, StageClock* clock) {
                           report.baseline_degraded ||
                           report.integrate_skipped || report.privacy_truncated;
     Snapshot snapshot(std::move(result->relation));
-    snapshot.label = request.verb + " k=" + std::to_string(*k);
+    snapshot.label = request.verb + " k=" + std::to_string(diva_options->k);
     snapshot.source = lease->shared();
-    snapshot.k = static_cast<size_t>(*k);
+    snapshot.k = diva_options->k;
     snapshot.waived_constraints = report.unsatisfied;
     std::sort(snapshot.waived_constraints.begin(),
               snapshot.waived_constraints.end());
@@ -762,43 +760,18 @@ Response Server::HandleUpdate(const Request& request, StageClock* clock) {
     auto delta = ParseDeltaFile(request.body);
     if (!delta.ok()) return Response::Error(delta.status());
 
-    DivaOptions diva_options;
-    auto k = request.IntParam("k", static_cast<int64_t>(diva_options.k));
-    if (!k.ok()) return Response::Error(k.status());
-    if (*k < 1) {
-      return Response::Error(Status::InvalidArgument("k must be >= 1"));
-    }
-    auto l = request.IntParam("l", 0);
-    if (!l.ok()) return Response::Error(l.status());
-    auto t = request.DoubleParam("t", 1.0);
-    if (!t.ok()) return Response::Error(t.status());
-    auto seed = request.IntParam("seed",
-                                 static_cast<int64_t>(options_.seed));
-    if (!seed.ok()) return Response::Error(seed.status());
-    auto baseline = ParseBaseline(request.Param("baseline", "kmember"));
-    if (!baseline.ok()) return Response::Error(baseline.status());
-
-    diva_options.k = static_cast<size_t>(*k);
-    diva_options.l_diversity = static_cast<size_t>(*l);
-    diva_options.t_closeness = *t;
-    diva_options.seed = static_cast<uint64_t>(*seed);
-    diva_options.baseline = *baseline;
-    diva_options.threads = options_.pipeline_threads;
-    // Sharded + incremental so the run captures a pipeline snapshot the
-    // next delta can chain from (neither changes response bytes). An
-    // update whose params differ from the prior update's simply finds
-    // every component dirty — correct, just cold-cost.
-    diva_options.shard = true;
-    diva_options.incremental = true;
-    diva_options.audit = true;
-    diva_options.strict = false;
-    diva_options.deadline_ms = 0;  // the request token carries the budget
-    diva_options.cancel = token;
+    auto diva_options = ParsePipelineOptions(request, options_, token);
+    if (!diva_options.ok()) return Response::Error(diva_options.status());
+    // Incremental so the run captures a pipeline snapshot the next delta
+    // can chain from (it never changes response bytes). An update whose
+    // params differ from the prior update's simply finds every component
+    // dirty — correct, just cold-cost.
+    diva_options->incremental = true;
 
     Status exclusive = BeginUpdate(token);
     clock->Mark(Stage::kLease);
     if (!exclusive.ok()) return Response::Error(exclusive);
-    Response response = RunUpdate(*delta, diva_options, clock);
+    Response response = RunUpdate(*delta, *diva_options, clock);
     EndUpdate();
     return response;
   });

@@ -69,11 +69,6 @@ struct ServerOptions {
   /// is process-global, so every request runs at one width; 1 keeps
   /// concurrent sessions from thrashing SetParallelThreads.
   size_t pipeline_threads = 1;
-  /// DivaOptions::shard for request pipelines: execute multi-component
-  /// instances as concurrent per-component work items (never changes
-  /// response bytes — see core/shard.h). Requests may override per call
-  /// with a `shard` param.
-  bool pipeline_shard = true;
   /// Default seed for request pipelines (requests may override per call).
   uint64_t seed = 42;
   /// Optional sink for one-line operational messages. Null = silent.

@@ -59,11 +59,10 @@ std::vector<std::string> DeterministicCounters(
 
 RunFingerprint FingerprintRun(const Relation& relation,
                               const ConstraintSet& constraints, size_t k,
-                              size_t threads, bool shard = true) {
+                              size_t threads) {
   DivaOptions options;
   options.k = k;
   options.threads = threads;
-  options.shard = shard;
   options.audit = true;
   auto result = RunDiva(relation, constraints, options);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
@@ -111,20 +110,15 @@ TEST(DeterminismTest, ProfileWorkloadIsByteIdenticalAcrossThreadCounts) {
   auto constraints = GenerateConstraints(*relation, generator_options);
   ASSERT_TRUE(constraints.ok());
 
+  // Width 1 runs the conflict-graph components inline on the caller;
+  // widths 2 and 8 run them as concurrent work items (core/shard.h). The
+  // fingerprint must not tell the two apart.
   RunFingerprint baseline = FingerprintRun(*relation, *constraints, 4, 1);
   EXPECT_FALSE(baseline.csv.empty());
   for (size_t threads : {2u, 8u}) {
     RunFingerprint parallel =
         FingerprintRun(*relation, *constraints, 4, threads);
     EXPECT_EQ(parallel, baseline) << "threads = " << threads;
-  }
-  // Component sharding is an execution knob like the pool width: turning
-  // it off (the same per-shard computations, run inline) must reproduce
-  // the identical fingerprint at every width (see core/shard.h).
-  for (size_t threads : {1u, 8u}) {
-    RunFingerprint unsharded =
-        FingerprintRun(*relation, *constraints, 4, threads, /*shard=*/false);
-    EXPECT_EQ(unsharded, baseline) << "shard off, threads = " << threads;
   }
   SetParallelThreads(1);
 }

@@ -205,39 +205,39 @@ TEST_P(DifferentialTest, ShardExecutionNeverChangesTheAuditedOutput) {
   FuzzWorkload workload = MakeWorkload(GetParam());
   if (workload.relation.NumRows() < workload.k) GTEST_SKIP();
 
-  std::string bytes_without;
-  std::vector<counters::Sample> deterministic_without;
-  for (bool shard : {false, true}) {
+  std::string bytes_inline;
+  std::vector<counters::Sample> deterministic_inline;
+  for (size_t threads : {1u, 2u, 8u}) {
     DivaOptions options;
     options.k = workload.k;
     options.seed = GetParam() * 29 + 7;
-    options.shard = shard;
-    options.threads = shard ? 8 : 1;
+    options.threads = threads;
     auto result =
         RunDiva(workload.relation, workload.constraints, options);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
 
-    // Both execution modes must pass the independent audit and publish
-    // the same bytes — the shard plan, not the execution mode, fixes
-    // every search decision (core/shard.h).
+    // Width 1 runs the shards inline, wider runs them concurrently. Both
+    // must pass the independent audit and publish the same bytes — the
+    // shard plan, not the execution, fixes every search decision
+    // (core/shard.h).
     AuditOptions audit_options;
     audit_options.waived_constraints = result->report.unsatisfied;
     auto audit =
         AuditAnonymization(workload.relation, result->relation, workload.k,
                            workload.constraints, audit_options);
     ASSERT_TRUE(audit.ok()) << audit.status().ToString();
-    EXPECT_TRUE(audit->ok())
-        << audit->ToString() << " shard=" << shard << " seed " << GetParam();
+    EXPECT_TRUE(audit->ok()) << audit->ToString() << " threads=" << threads
+                             << " seed " << GetParam();
 
     std::string bytes = ToCsvBytes(result->relation);
     std::vector<counters::Sample> deterministic =
         MovedDeterministic(result->report.counters);
-    if (!shard) {
-      bytes_without = std::move(bytes);
-      deterministic_without = std::move(deterministic);
+    if (threads == 1) {
+      bytes_inline = std::move(bytes);
+      deterministic_inline = std::move(deterministic);
     } else {
-      EXPECT_EQ(bytes, bytes_without) << "seed " << GetParam();
-      EXPECT_EQ(deterministic, deterministic_without)
+      EXPECT_EQ(bytes, bytes_inline) << "seed " << GetParam();
+      EXPECT_EQ(deterministic, deterministic_inline)
           << "seed " << GetParam();
     }
   }

@@ -136,13 +136,13 @@ TEST(EdgeCaseTest, AllRowsIdentical) {
 TEST(EdgeCaseTest, ZeroConstraintRunIsPureResidual) {
   // No constraints: the shard plan has zero shards and every row is
   // residual — the whole relation flows to the baseline phase, and the
-  // shard flag has nothing to change.
+  // thread width has no shard to place.
   Relation r = MedicalRelation();
-  std::string bytes_without;
-  for (bool shard : {false, true}) {
+  std::string bytes_inline;
+  for (size_t threads : {1u, 8u}) {
     DivaOptions options;
     options.k = 2;
-    options.shard = shard;
+    options.threads = threads;
     auto result = RunDiva(r, {}, options);
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(result->report.shards, 0u);
@@ -150,30 +150,31 @@ TEST(EdgeCaseTest, ZeroConstraintRunIsPureResidual) {
     EXPECT_TRUE(IsKAnonymous(result->relation, 2));
     std::ostringstream out;
     ASSERT_TRUE(WriteCsv(result->relation, out).ok());
-    if (!shard) {
-      bytes_without = out.str();
+    if (threads == 1) {
+      bytes_inline = out.str();
     } else {
-      EXPECT_EQ(out.str(), bytes_without);
+      EXPECT_EQ(out.str(), bytes_inline) << "threads = " << threads;
     }
   }
+  SetParallelThreads(1);
 }
 
 TEST(EdgeCaseTest, EveryRowViolatingSigmaSuppressesAcrossAllShards) {
   // Three forbid-constraints cover every ETH value: every row violates
   // Sigma, the plan has three components and an empty residual, and the
-  // pipeline must suppress every occurrence in every shard — in both
-  // execution modes, byte for byte.
+  // pipeline must suppress every occurrence in every shard — inline at
+  // width 1 and concurrently at width 8, byte for byte.
   Relation r = MedicalRelation();
   ConstraintSet constraints = {
       MustParse(*MedicalSchema(), "ETH[Caucasian] in [0,0]"),
       MustParse(*MedicalSchema(), "ETH[African] in [0,0]"),
       MustParse(*MedicalSchema(), "ETH[Asian] in [0,0]"),
   };
-  std::string bytes_without;
-  for (bool shard : {false, true}) {
+  std::string bytes_inline;
+  for (size_t threads : {1u, 8u}) {
     DivaOptions options;
     options.k = 2;
-    options.shard = shard;
+    options.threads = threads;
     auto result = RunDiva(r, constraints, options);
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(result->report.shards, 3u);
@@ -184,12 +185,13 @@ TEST(EdgeCaseTest, EveryRowViolatingSigmaSuppressesAcrossAllShards) {
     EXPECT_TRUE(IsKAnonymous(result->relation, 2));
     std::ostringstream out;
     ASSERT_TRUE(WriteCsv(result->relation, out).ok());
-    if (!shard) {
-      bytes_without = out.str();
+    if (threads == 1) {
+      bytes_inline = out.str();
     } else {
-      EXPECT_EQ(out.str(), bytes_without);
+      EXPECT_EQ(out.str(), bytes_inline) << "threads = " << threads;
     }
   }
+  SetParallelThreads(1);
 }
 
 TEST(EdgeCaseTest, DiscernibilityOverflowSafety) {

@@ -558,7 +558,6 @@ TEST(ServeServerTest, UpdateReportsTheShardsReusedOfItsOwnDelta) {
   options.seed = TestOptions().seed;
   options.baseline = BaselineAlgorithm::kKMember;
   options.threads = TestOptions().pipeline_threads;
-  options.shard = true;
   options.incremental = true;
   options.audit = true;
   auto first_delta = ParseDeltaFile(first_body);

@@ -1,12 +1,11 @@
 // The sharding subsystem's headline guarantee, asserted end to end: the
-// DivaOptions::shard flag chooses only *how* a multi-component instance
-// executes (concurrent TaskGroup work items vs the same per-shard
-// computations inline), never *what* it computes — CSV, report, and
-// audit telemetry are byte-identical with sharding on or off and at
-// every thread width. See core/shard.h for why this holds by
-// construction. Unit coverage for the plan itself (union-find, component
-// ordering, residual accounting) and the columnar store backing it rides
-// along.
+// thread width chooses only *where* a multi-component instance's shards
+// run (inline on the caller at width 1, concurrent TaskGroup work items
+// above it), never *what* they compute — CSV, report, and audit
+// telemetry are byte-identical at every thread width. See core/shard.h
+// for why this holds by construction. Unit coverage for the plan itself
+// (union-find, component ordering, residual accounting) and the
+// columnar store backing it rides along.
 
 #include <gtest/gtest.h>
 
@@ -170,39 +169,28 @@ TEST(ShardSeedTest, StreamsAreDistinctAndDeterministic) {
 }
 
 // ---------------------------------------------------------------------------
-// ColumnStore / Arena
-
-TEST(ArenaTest, AllocationsAreCountedAndChunked) {
-  Arena arena(/*chunk_bytes=*/64);
-  auto a = arena.AllocateArray<uint32_t>(4);
-  auto b = arena.AllocateArray<uint32_t>(4);
-  EXPECT_EQ(a.size(), 4u);
-  EXPECT_EQ(b.size(), 4u);
-  EXPECT_EQ(arena.allocated_bytes(), 32u);
-  EXPECT_EQ(arena.chunk_count(), 1u);  // both fit the first chunk
-  // Oversized allocations get a dedicated chunk but stay contiguous.
-  auto big = arena.AllocateArray<uint32_t>(64);
-  EXPECT_EQ(big.size(), 64u);
-  EXPECT_GE(arena.chunk_count(), 2u);
-  big[0] = 1;
-  big[63] = 2;  // writable end to end
-  EXPECT_EQ(big[0] + big[63], 3u);
-}
+// ColumnStore
 
 TEST(ColumnStoreTest, RoundTripsTheMedicalRelation) {
   Relation relation = MedicalRelation();
   ColumnStore store = ColumnStore::FromRelation(relation);
   EXPECT_EQ(store.NumRows(), relation.NumRows());
   EXPECT_EQ(store.NumColumns(), relation.NumAttributes());
+  std::vector<RowId> all(relation.NumRows());
+  for (size_t row = 0; row < all.size(); ++row) {
+    all[row] = static_cast<RowId>(row);
+  }
+  Relation gathered = store.GatherRows(all);
+  ASSERT_EQ(gathered.NumRows(), relation.NumRows());
   for (size_t row = 0; row < relation.NumRows(); ++row) {
     for (size_t col = 0; col < relation.NumAttributes(); ++col) {
-      EXPECT_EQ(store.At(static_cast<RowId>(row), col),
+      EXPECT_EQ(gathered.At(static_cast<RowId>(row), col),
                 relation.At(static_cast<RowId>(row), col));
     }
   }
   std::ostringstream original, round_trip;
   ASSERT_TRUE(WriteCsv(relation, original).ok());
-  ASSERT_TRUE(WriteCsv(store.ToRelation(), round_trip).ok());
+  ASSERT_TRUE(WriteCsv(gathered, round_trip).ok());
   EXPECT_EQ(round_trip.str(), original.str());
 }
 
@@ -217,13 +205,13 @@ TEST(ColumnStoreTest, GatherMatchesSelectRows) {
 }
 
 // ---------------------------------------------------------------------------
-// Shard equivalence: shard on/off x thread width, byte for byte
+// Shard equivalence: inline (width 1) vs concurrent shards, byte for byte
 
-/// One full DIVA run reduced to everything the shard flag could
+/// One full DIVA run reduced to everything the shard execution could
 /// plausibly perturb: published CSV bytes, the search/report scalars,
 /// the shard accounting itself, and every deterministic-scope counter
-/// that moved (spans and counters merge in shard-index order, so these
-/// pin the telemetry path too).
+/// that moved (counters merge in shard-index order, so these pin the
+/// telemetry path too).
 struct ShardFingerprint {
   std::string csv;
   bool complete = false;
@@ -253,10 +241,9 @@ std::vector<std::string> MovedDeterministicCounters(
 
 ShardFingerprint FingerprintRun(const Relation& relation,
                                 const ConstraintSet& constraints, size_t k,
-                                bool shard, size_t threads) {
+                                size_t threads) {
   DivaOptions options;
   options.k = k;
-  options.shard = shard;
   options.threads = threads;
   options.audit = true;
   auto result = RunDiva(relation, constraints, options);
@@ -286,17 +273,13 @@ TEST(ShardEquivalenceTest, MultiComponentMedicalIsByteIdentical) {
   ASSERT_TRUE(constraints.ok());
 
   ShardFingerprint baseline =
-      FingerprintRun(relation, *constraints, 2, /*shard=*/false, /*threads=*/1);
+      FingerprintRun(relation, *constraints, 2, /*threads=*/1);
   EXPECT_FALSE(baseline.csv.empty());
   EXPECT_EQ(baseline.shards, 2u);
   EXPECT_EQ(baseline.residual_rows, 4u);
-  for (bool shard : {false, true}) {
-    for (size_t threads : {1u, 2u, 8u}) {
-      ShardFingerprint run =
-          FingerprintRun(relation, *constraints, 2, shard, threads);
-      EXPECT_EQ(run, baseline)
-          << "shard = " << shard << ", threads = " << threads;
-    }
+  for (size_t threads : {1u, 2u, 8u}) {
+    ShardFingerprint run = FingerprintRun(relation, *constraints, 2, threads);
+    EXPECT_EQ(run, baseline) << "threads = " << threads;
   }
   SetParallelThreads(1);
 }
@@ -314,55 +297,48 @@ TEST(ShardEquivalenceTest, OverlappingChainPlusIslandIsByteIdentical) {
   ASSERT_TRUE(constraints.ok());
 
   ShardFingerprint baseline =
-      FingerprintRun(relation, *constraints, 2, /*shard=*/false, /*threads=*/1);
+      FingerprintRun(relation, *constraints, 2, /*threads=*/1);
   EXPECT_EQ(baseline.shards, 2u);
-  for (bool shard : {false, true}) {
-    for (size_t threads : {1u, 2u, 8u}) {
-      ShardFingerprint run =
-          FingerprintRun(relation, *constraints, 2, shard, threads);
-      EXPECT_EQ(run, baseline)
-          << "shard = " << shard << ", threads = " << threads;
-    }
+  for (size_t threads : {1u, 2u, 8u}) {
+    ShardFingerprint run = FingerprintRun(relation, *constraints, 2, threads);
+    EXPECT_EQ(run, baseline) << "threads = " << threads;
   }
   SetParallelThreads(1);
 }
 
 TEST(ShardEquivalenceTest, SingleComponentTakesTheLegacyPathUnchanged) {
   // The paper's example constraints form one component: the plan is not
-  // effective, and the flag must be a strict no-op against the pre-shard
-  // pipeline's bytes (determinism_test pins those bytes independently).
+  // effective, and the width must be a strict no-op against the
+  // pre-shard pipeline's bytes (determinism_test pins those bytes
+  // independently).
   Relation relation = MedicalRelation();
   ConstraintSet constraints =
       testing::MedicalConstraints(*testing::MedicalSchema());
-  ShardFingerprint off =
-      FingerprintRun(relation, constraints, 2, /*shard=*/false, /*threads=*/1);
-  EXPECT_EQ(off.shards, 1u);
-  ShardFingerprint on =
-      FingerprintRun(relation, constraints, 2, /*shard=*/true, /*threads=*/8);
-  EXPECT_EQ(on, off);
+  ShardFingerprint narrow =
+      FingerprintRun(relation, constraints, 2, /*threads=*/1);
+  EXPECT_EQ(narrow.shards, 1u);
+  ShardFingerprint wide =
+      FingerprintRun(relation, constraints, 2, /*threads=*/8);
+  EXPECT_EQ(wide, narrow);
   SetParallelThreads(1);
 }
 
 /// The fuzz corpus leg: every workload the differential suite draws
-/// must fingerprint identically in all six execution modes. Instances
-/// here span single-component fallbacks, multi-component plans, and
-/// zero-constraint (pure residual) runs — whatever the seed yields.
+/// must fingerprint identically with its shards inline (width 1) and
+/// concurrent (widths 2, 3, 8). Instances here span single-component
+/// fallbacks, multi-component plans, and zero-constraint (pure residual)
+/// runs — whatever the seed yields.
 class ShardCorpusTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ShardCorpusTest, ShardFlagAndThreadWidthNeverChangeTheBytes) {
   testing::FuzzWorkload workload = MakeWorkload(GetParam());
-  ShardFingerprint baseline =
-      FingerprintRun(workload.relation, workload.constraints, workload.k,
-                     /*shard=*/false, /*threads=*/1);
+  ShardFingerprint baseline = FingerprintRun(
+      workload.relation, workload.constraints, workload.k, /*threads=*/1);
   EXPECT_FALSE(baseline.csv.empty());
-  for (bool shard : {false, true}) {
-    for (size_t threads : {1u, 2u, 8u}) {
-      if (!shard && threads == 1) continue;  // the baseline itself
-      ShardFingerprint run = FingerprintRun(
-          workload.relation, workload.constraints, workload.k, shard, threads);
-      EXPECT_EQ(run, baseline)
-          << "shard = " << shard << ", threads = " << threads;
-    }
+  for (size_t threads : {2u, 3u, 8u}) {
+    ShardFingerprint run = FingerprintRun(
+        workload.relation, workload.constraints, workload.k, threads);
+    EXPECT_EQ(run, baseline) << "threads = " << threads;
   }
   SetParallelThreads(1);
 }

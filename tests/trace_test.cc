@@ -13,6 +13,7 @@
 
 #include "common/counters.h"
 #include "common/trace.h"
+#include "constraint/parser.h"
 #include "core/diva.h"
 #include "tests/test_util.h"
 
@@ -163,38 +164,70 @@ TEST(TraceTest, ChromeJsonIsByteStableAndWellFormed) {
 }
 
 TEST(TraceTest, PipelineSpansAgreeAcrossThreadWidths) {
-  FuzzWorkload workload = MakeWorkload(5);
-  ASSERT_GE(workload.relation.NumRows(), workload.k);
+  // A fuzz workload plus a two-component medical instance, whose shards
+  // run inline at width 1 and on TaskGroup workers above it: either way
+  // each shard's span lands in the ring of the thread that ran it.
+  FuzzWorkload fuzz = MakeWorkload(5);
+  ASSERT_GE(fuzz.relation.NumRows(), fuzz.k);
+  auto medical_constraints =
+      ParseConstraintSet(*testing::MedicalSchema(),
+                         "ETH[Asian] in [2,5]\nPRV[AB] in [1,3]\n");
+  ASSERT_TRUE(medical_constraints.ok());
+  struct Input {
+    const char* name;
+    Relation relation;
+    ConstraintSet constraints;
+    size_t k;
+    size_t expected_shards;  // 0 = whatever the seed yields
+  };
+  std::vector<Input> inputs;
+  inputs.push_back({"fuzz5", fuzz.relation, fuzz.constraints, fuzz.k, 0});
+  inputs.push_back({"medical", testing::MedicalRelation(),
+                    *medical_constraints, 2, 2});
 
-  // Span-name multiset per width, pool/* spans excluded: how work is
-  // chunked across threads legitimately varies, which phases ran (and
-  // how often) must not.
-  std::map<size_t, std::multiset<std::string>> phase_spans;
   trace::SetRingCapacity(65536);
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    DivaOptions options;
-    options.k = workload.k;
-    options.seed = 7;
-    options.threads = threads;
-    options.audit = true;
-    trace::Enable();
-    auto result = RunDiva(workload.relation, workload.constraints, options);
-    trace::Disable();
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_EQ(trace::DroppedEvents(), 0u);
-    for (const trace::SpanEvent& event : trace::Collect()) {
-      if (std::string(event.name).rfind("pool/", 0) == 0) continue;
-      phase_spans[threads].insert(event.name);
+  for (const Input& input : inputs) {
+    // Span-name multiset per width, pool/* spans excluded: how work is
+    // chunked across threads legitimately varies, which phases ran (and
+    // how often) must not.
+    std::map<size_t, std::multiset<std::string>> phase_spans;
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+      DivaOptions options;
+      options.k = input.k;
+      options.seed = 7;
+      options.threads = threads;
+      options.audit = true;
+      trace::Enable();
+      auto result = RunDiva(input.relation, input.constraints, options);
+      trace::Disable();
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(trace::DroppedEvents(), 0u);
+      for (const trace::SpanEvent& event : trace::Collect()) {
+        if (std::string(event.name).rfind("pool/", 0) == 0) continue;
+        phase_spans[threads].insert(event.name);
+      }
+      const size_t shards = result->report.shards;
+      if (input.expected_shards != 0) {
+        EXPECT_EQ(shards, input.expected_shards) << input.name;
+      }
+      // One diva/shard span per component whenever the plan is
+      // effective (>= 2 components); a single component takes the
+      // legacy search, which opens none.
+      EXPECT_EQ(phase_spans[threads].count("diva/shard"),
+                shards >= 2 ? shards : 0u)
+          << input.name << " threads = " << threads;
     }
-  }
 
-  for (const char* phase :
-       {"diva/run", "diva/clustering", "diva/suppress", "diva/anonymize",
-        "diva/integrate", "diva/audit"}) {
-    EXPECT_EQ(phase_spans[1].count(phase), 1u) << phase;
+    for (const char* phase :
+         {"diva/run", "diva/clustering", "diva/suppress", "diva/anonymize",
+          "diva/integrate", "diva/audit"}) {
+      EXPECT_EQ(phase_spans[1].count(phase), 1u)
+          << input.name << " " << phase;
+    }
+    EXPECT_EQ(phase_spans[1], phase_spans[2]) << input.name;
+    EXPECT_EQ(phase_spans[1], phase_spans[8]) << input.name;
   }
-  EXPECT_EQ(phase_spans[1], phase_spans[2]);
-  EXPECT_EQ(phase_spans[1], phase_spans[8]);
+  SetParallelThreads(1);
 }
 
 TEST(TraceTest, CountersMatchTheReportExactly) {
@@ -357,75 +390,6 @@ TEST(CountersTest, ScopedBufferRedirectNests) {
   const counters::Sample* sample = Find(delta, "test.nest.counter");
   ASSERT_NE(sample, nullptr);
   EXPECT_EQ(sample->value, 101u) << "only the outer batch was committed";
-}
-
-TEST(TraceTest, SpanBufferCommitRepublishesUnderOpenSpan) {
-  trace::SetRingCapacity(1024);
-  trace::Enable();
-  trace::SpanBuffer buffer;
-  {
-    trace::ScopedBufferedSpans redirect(&buffer);
-    DIVA_TRACE_SPAN("spec/outer");
-    {
-      DIVA_TRACE_SPAN("spec/inner");
-    }
-  }
-  // Nothing reaches the capture until the owner adopts the work.
-  EXPECT_EQ(trace::Collect().size(), 0u);
-  EXPECT_FALSE(buffer.empty());
-  {
-    DIVA_TRACE_SPAN("adopt/parent");
-    buffer.Commit();
-  }
-  trace::Disable();
-  EXPECT_TRUE(buffer.empty());
-  std::vector<trace::SpanEvent> events = trace::Collect();
-  ASSERT_EQ(events.size(), 3u);
-  uint32_t tid = events[0].tid;
-  std::map<std::string, const trace::SpanEvent*> by_name;
-  for (const trace::SpanEvent& event : events) {
-    EXPECT_EQ(event.tid, tid) << "committed spans adopt the committer's tid";
-    by_name[event.name] = &event;
-  }
-  ASSERT_EQ(by_name.count("adopt/parent"), 1u);
-  ASSERT_EQ(by_name.count("spec/outer"), 1u);
-  ASSERT_EQ(by_name.count("spec/inner"), 1u);
-  // Committed spans nest under the committer's open span: parent depth
-  // is 0, the buffered spans keep their relative nesting one level down.
-  EXPECT_EQ(by_name["adopt/parent"]->depth, 0u);
-  EXPECT_EQ(by_name["spec/outer"]->depth, 1u);
-  EXPECT_EQ(by_name["spec/inner"]->depth, 2u);
-}
-
-TEST(TraceTest, SpanBufferDiscardLeavesNoTrace) {
-  trace::SetRingCapacity(1024);
-  trace::Enable();
-  trace::SpanBuffer buffer;
-  {
-    trace::ScopedBufferedSpans redirect(&buffer);
-    DIVA_TRACE_SPAN("doomed/span");
-  }
-  buffer.Discard();
-  buffer.Commit();  // no-op on an empty buffer
-  trace::Disable();
-  EXPECT_EQ(trace::Collect().size(), 0u);
-}
-
-TEST(TraceTest, SpanBufferDropsSpansFromARetiredCapture) {
-  trace::SetRingCapacity(1024);
-  trace::Enable();
-  trace::SpanBuffer buffer;
-  {
-    trace::ScopedBufferedSpans redirect(&buffer);
-    DIVA_TRACE_SPAN("stale/span");
-  }
-  // A new capture retires the old timebase: the buffered span can no
-  // longer be rebased and must be silently dropped, not misfiled.
-  trace::Enable();
-  buffer.Commit();
-  EXPECT_TRUE(buffer.empty());
-  trace::Disable();
-  EXPECT_EQ(trace::Collect().size(), 0u);
 }
 
 TEST(CountersTest, ResetZeroesEveryCell) {
