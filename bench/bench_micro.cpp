@@ -8,6 +8,8 @@
 
 #include <map>
 #include <numeric>
+#include <span>
+#include <vector>
 
 #include "anon/anonymizer.h"
 #include "anon/distance.h"
@@ -54,13 +56,25 @@ const ConstraintSet& FixtureConstraints(size_t rows) {
   return it->second;
 }
 
+/// The fixture's QI codes packed as a k-member pool holds them.
+std::vector<ValueCode> PackedFixture(const Relation& relation) {
+  std::vector<RowId> rows(relation.NumRows());
+  std::iota(rows.begin(), rows.end(), 0);
+  return PackQiCodes(relation, rows);
+}
+
 void BM_TupleDistance(benchmark::State& state) {
   const Relation& relation = FixtureRelation(10000);
   DistanceMetric metric(relation);
-  RowId a = 0;
-  RowId b = 1;
+  const std::vector<ValueCode> codes = PackedFixture(relation);
+  const size_t width = relation.schema().qi_indices().size();
+  auto row = [&](size_t r) {
+    return std::span<const ValueCode>(codes).subspan(r * width, width);
+  };
+  size_t a = 0;
+  size_t b = 1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(metric.Distance(a, b));
+    benchmark::DoNotOptimize(metric.Distance(row(a), row(b)));
     a = (a + 7) % relation.NumRows();
     b = (b + 13) % relation.NumRows();
   }
@@ -69,12 +83,17 @@ BENCHMARK(BM_TupleDistance);
 
 void BM_ClusterCostIncrease(benchmark::State& state) {
   const Relation& relation = FixtureRelation(10000);
+  const std::vector<ValueCode> codes = PackedFixture(relation);
+  const size_t width = relation.schema().qi_indices().size();
+  auto row = [&](size_t r) {
+    return std::span<const ValueCode>(codes).subspan(r * width, width);
+  };
   ClusterCostTracker tracker(relation);
-  tracker.Reset(0);
-  for (RowId row = 1; row < 32; ++row) tracker.Add(row);
-  RowId candidate = 100;
+  tracker.Reset(row(0));
+  for (size_t r = 1; r < 32; ++r) tracker.Add(row(r));
+  size_t candidate = 100;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tracker.CostIncrease(candidate));
+    benchmark::DoNotOptimize(tracker.CostIncrease(row(candidate)));
     candidate = (candidate + 17) % relation.NumRows();
   }
 }

@@ -32,6 +32,7 @@
 
 #include "bench/bench_common.h"
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "common/timer.h"
 #include "constraint/parser.h"
 #include "core/diva.h"
@@ -80,10 +81,10 @@ ScaleWorkload BuildWorkload() {
   std::vector<ValueCode> regions(kNumRegions);
   std::vector<ValueCode> groups(2 * kNumRegions);
   for (size_t r = 0; r < kNumRegions; ++r) {
-    regions[r] = relation.Encode(0, "r" + std::to_string(r));
+    regions[r] = relation.Encode(0, NumberedLabel("r", r));
   }
   for (size_t g = 0; g < 2 * kNumRegions; ++g) {
-    groups[g] = relation.Encode(1, "g" + std::to_string(g));
+    groups[g] = relation.Encode(1, NumberedLabel("g", g));
   }
   std::vector<ValueCode> ages(60);
   for (size_t a = 0; a < ages.size(); ++a) {
@@ -91,11 +92,11 @@ ScaleWorkload BuildWorkload() {
   }
   std::vector<ValueCode> jobs(kNumJobs);
   for (size_t j = 0; j < kNumJobs; ++j) {
-    jobs[j] = relation.Encode(3, "j" + std::to_string(j));
+    jobs[j] = relation.Encode(3, NumberedLabel("j", j));
   }
   std::vector<ValueCode> diagnoses(kNumDiagnoses);
   for (size_t d = 0; d < kNumDiagnoses; ++d) {
-    diagnoses[d] = relation.Encode(4, "d" + std::to_string(d));
+    diagnoses[d] = relation.Encode(4, NumberedLabel("d", d));
   }
 
   std::vector<uint64_t> region_count(kNumRegions, 0);

@@ -18,7 +18,9 @@
 #   7. coverage gate: gcovr line coverage >=80% on src/common/trace.*
 #      and counters.* (skipped with a notice when gcovr is not installed)
 #   8. bench gate: bench_coloring vs bench/baselines/BENCH_coloring.json
-#      via tools/bench_diff.py (deterministic metrics, 10% tolerance)
+#      via tools/bench_diff.py (deterministic metrics, tolerance 0), and
+#      bench_smoke at widths 1 and 8 vs bench/baselines/BENCH_smoke.json
+#      via tools/smoke_diff.py (output hash + deterministic counters)
 #   9. scale gate: bench_scale (pinned 1M-row / 64-component shape, end
 #      to end) vs bench/baselines/BENCH_scale.json at tolerance 0, plus the
 #      shard-equivalence cross-width diff at tolerance 0 — the pinned
@@ -106,7 +108,7 @@ step "bench gate: bench_coloring vs bench/baselines/BENCH_coloring.json"
 cmake --build --preset release -j "$JOBS" --target bench_coloring
 DIVA_THREADS=1 \
   ./build/release/bench/bench_coloring /tmp/BENCH_coloring_t1.$$.json
-python3 tools/bench_diff.py \
+python3 tools/bench_diff.py --tolerance 0 \
   bench/baselines/BENCH_coloring.json /tmp/BENCH_coloring_t1.$$.json
 
 # Cross-width determinism: every deterministic metric must be
@@ -118,6 +120,17 @@ DIVA_THREADS=8 \
 python3 tools/bench_diff.py --tolerance 0 \
   /tmp/BENCH_coloring_t1.$$.json /tmp/BENCH_coloring_t8.$$.json
 rm -f /tmp/BENCH_coloring_t1.$$.json /tmp/BENCH_coloring_t8.$$.json
+
+# bench_smoke is the one committed pin of the k-member baseline's output
+# bytes: its published-output hash and deterministic counters must match
+# the baseline at every width it sweeps.
+step "smoke gate: bench_smoke (DIVA_BENCH_THREADS=1,8) vs bench/baselines/BENCH_smoke.json"
+cmake --build --preset release -j "$JOBS" --target bench_smoke
+DIVA_BENCH_THREADS=1,8 \
+  ./build/release/bench/bench_smoke /tmp/BENCH_smoke.$$.json
+python3 tools/smoke_diff.py \
+  bench/baselines/BENCH_smoke.json /tmp/BENCH_smoke.$$.json
+rm -f /tmp/BENCH_smoke.$$.json
 
 step "scale gate: bench_scale vs bench/baselines/BENCH_scale.json"
 cmake --build --preset release -j "$JOBS" --target bench_scale

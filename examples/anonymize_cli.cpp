@@ -136,7 +136,7 @@ int main(int argc, char** argv) {
     if (arg == "--strict") {
       strict = true;
     } else if (arg == "--json") {
-      args["json"] = "1";
+      args.emplace("json", "1");
     } else if (arg == "--taxonomy" && i + 1 < argc) {
       taxonomy_specs.emplace_back(argv[++i]);
     } else if (StartsWith(arg, "--") &&

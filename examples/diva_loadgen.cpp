@@ -123,8 +123,8 @@ WorkerTally RunWorker(const std::string& host, int port, size_t worker,
   for (size_t r = 0; r < config.requests_per_client; ++r) {
     serve::Request request;
     request.verb = "anonymize";
-    request.params["k"] = "4";
-    request.params["seed"] = std::to_string(seed + r);
+    request.params.emplace("k", "4");
+    request.params.emplace("seed", std::to_string(seed + r));
     if (config.deadline_ms >= 0) {
       request.params["deadline_ms"] = std::to_string(config.deadline_ms);
     }

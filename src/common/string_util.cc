@@ -90,4 +90,10 @@ std::string ToLowerAscii(std::string_view input) {
   return out;
 }
 
+std::string NumberedLabel(std::string_view prefix, uint64_t n) {
+  std::string label(prefix);
+  label += std::to_string(n);
+  return label;
+}
+
 }  // namespace diva

@@ -32,6 +32,11 @@ bool StartsWith(std::string_view text, std::string_view prefix);
 /// Lower-cases ASCII letters.
 std::string ToLowerAscii(std::string_view input);
 
+/// `prefix` followed by `n` in decimal: NumberedLabel("r", 7) == "r7".
+/// Built by appending; GCC 12 at -O3 flags the equivalent
+/// `"r" + std::to_string(n)` with a false -Wrestrict warning.
+std::string NumberedLabel(std::string_view prefix, uint64_t n);
+
 }  // namespace diva
 
 #endif  // DIVA_COMMON_STRING_UTIL_H_

@@ -216,17 +216,15 @@ TargetSets FindTargets(const Relation& relation,
   return sets;
 }
 
-TargetOverlaps ComputeOverlaps(std::span<const std::span<const RowId>> targets,
-                               size_t num_rows) {
+RowIncidence BuildRowIncidence(
+    std::span<const std::span<const RowId>> targets, size_t num_rows) {
   const size_t n = targets.size();
-  TargetOverlaps result;
-  if (n < 2) return result;
-
-  // Row -> constraint incidence as a CSR, built per row chunk so each
-  // chunk writes only its own rows. A chunk takes the slice of every list
-  // that falls inside it (two binary searches per list), counts, and
-  // then fills in constraint order, which leaves each row's constraints
-  // ascending.
+  RowIncidence incidence;
+  incidence.row_start.assign(num_rows + 1, 0);
+  // Each row chunk writes only its own rows. A chunk takes the slice of
+  // every list that falls inside it (two binary searches per list),
+  // counts, and then fills in constraint order, which leaves each row's
+  // constraints ascending.
   const Chunks row_chunks(0, num_rows);
   auto slice = [&](size_t c, size_t k) {
     std::span<const RowId> list = targets[c];
@@ -237,24 +235,33 @@ TargetOverlaps ComputeOverlaps(std::span<const std::span<const RowId>> targets,
     return list.subspan(static_cast<size_t>(lo - list.begin()),
                         static_cast<size_t>(hi - lo));
   };
-  std::vector<size_t> row_start(num_rows + 1, 0);
+  std::vector<size_t>& row_start = incidence.row_start;
   ForEachChunk(row_chunks.count, [&](size_t k) {
     for (size_t c = 0; c < n; ++c) {
       for (RowId row : slice(c, k)) ++row_start[static_cast<size_t>(row) + 1];
     }
   });
   for (size_t r = 0; r < num_rows; ++r) row_start[r + 1] += row_start[r];
-  std::vector<uint32_t> row_constraints(row_start[num_rows]);
+  incidence.constraints.resize(row_start[num_rows]);
   ForEachChunk(row_chunks.count, [&](size_t k) {
     const size_t begin = row_chunks.Begin(k);
     std::vector<size_t> next(row_start.begin() + begin,
                              row_start.begin() + row_chunks.End(k));
     for (size_t c = 0; c < n; ++c) {
       for (RowId row : slice(c, k)) {
-        row_constraints[next[row - begin]++] = static_cast<uint32_t>(c);
+        incidence.constraints[next[row - begin]++] = static_cast<uint32_t>(c);
       }
     }
   });
+  return incidence;
+}
+
+TargetOverlaps ComputeOverlaps(std::span<const std::span<const RowId>> targets,
+                               size_t num_rows) {
+  const size_t n = targets.size();
+  TargetOverlaps result;
+  if (n < 2) return result;
+  const RowIncidence incidence = BuildRowIncidence(targets, num_rows);
 
   // For each constraint i, every row of I_i adds one to its overlap with
   // each later constraint j > i that row also matches. Chunks over i
@@ -273,11 +280,11 @@ TargetOverlaps ComputeOverlaps(std::span<const std::span<const RowId>> targets,
     for (size_t i = constraint_chunks.Begin(k);
          i < constraint_chunks.End(k); ++i) {
       for (RowId row : targets[i]) {
-        const uint32_t* first = row_constraints.data() + row_start[row];
-        const uint32_t* last = row_constraints.data() + row_start[row + 1];
-        const uint32_t* it = std::upper_bound(first, last, i);
-        out.visits += static_cast<uint64_t>(last - it);
-        for (; it != last; ++it) {
+        const std::span<const uint32_t> row_constraints = incidence[row];
+        auto it = std::upper_bound(row_constraints.begin(),
+                                   row_constraints.end(), i);
+        out.visits += static_cast<uint64_t>(row_constraints.end() - it);
+        for (; it != row_constraints.end(); ++it) {
           if (overlap[*it]++ == 0) touched.push_back(*it);
         }
       }

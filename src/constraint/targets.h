@@ -15,10 +15,11 @@
 ///    codes. A count pass sizes every list, a fill pass writes them into
 ///    one flat buffer: O(|R|·a + Σ|I_sigma|) for a first attributes.
 ///    CountAllOccurrences is the count pass alone.
-///  - ComputeOverlaps sweeps the row→constraint incidence (a CSR built
-///    from the lists) and accumulates, per constraint i, its overlap with
-///    every j > i: O(Σ|I_sigma| + Σ_r m_r²), m_r the number of
-///    constraints row r matches.
+///  - BuildRowIncidence turns the lists into the row→constraint
+///    incidence, a CSR with each row's constraints ascending.
+///  - ComputeOverlaps sweeps that incidence and accumulates, per
+///    constraint i, its overlap with every j > i: O(Σ|I_sigma| +
+///    Σ_r m_r²), m_r the number of constraints row r matches.
 ///
 /// All are exact and identical at every thread width.
 
@@ -83,6 +84,24 @@ TargetSets FindTargets(const Relation& relation,
 /// Exact integer sums, identical at every pool width.
 std::vector<size_t> CountAllOccurrences(const Relation& relation,
                                         const ConstraintSet& constraints);
+
+/// The row→constraint incidence of a set of target lists: the lists
+/// that contain row r are constraints[row_start[r], row_start[r + 1]),
+/// ascending.
+struct RowIncidence {
+  std::vector<size_t> row_start;
+  std::vector<uint32_t> constraints;
+
+  std::span<const uint32_t> operator[](RowId row) const {
+    return {constraints.data() + row_start[row],
+            row_start[row + 1] - row_start[row]};
+  }
+};
+
+/// The incidence of `targets` (each list sorted ascending, every row id
+/// < num_rows). Built per row chunk, identical at every pool width.
+RowIncidence BuildRowIncidence(
+    std::span<const std::span<const RowId>> targets, size_t num_rows);
 
 /// One intersecting pair of target sets: i < j, overlap = |I_i ∩ I_j| > 0.
 struct TargetOverlap {

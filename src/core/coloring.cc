@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <utility>
 
@@ -12,6 +13,7 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "common/trace.h"
+#include "constraint/targets.h"
 
 namespace diva {
 
@@ -32,21 +34,22 @@ namespace {
 /// Immutable search state shared by every engine one ColorConstraints
 /// call spawns (all restart attempts plus the greedy pass): packed target
 /// bitmaps, the hoisted QI-similarity target orders, the row->constraint
-/// incidence lists that drive O(incidence) bookkeeping updates, and the
-/// row tag table behind every set fingerprint.
+/// incidence (a CSR, each row's constraints ascending) that drives
+/// O(incidence) bookkeeping updates, and the row tag table behind every
+/// set fingerprint.
 struct SearchContext {
   SearchContext(const Relation& relation, const ConstraintGraph& graph) {
     size_t n = graph.NumNodes();
     size_t num_rows = relation.NumRows();
     target_bitmap.resize(n);
-    incidence.resize(num_rows);
+    std::vector<std::span<const RowId>> lists;
+    lists.reserve(n);
     for (size_t j = 0; j < n; ++j) {
       target_bitmap[j].Resize(num_rows);
-      for (RowId row : graph.targets[j]) {
-        target_bitmap[j].Set(row);
-        incidence[row].push_back(static_cast<uint32_t>(j));
-      }
+      for (RowId row : graph.targets[j]) target_bitmap[j].Set(row);
+      lists.emplace_back(graph.targets[j]);
     }
+    incidence = BuildRowIncidence(lists, num_rows);
     // One stable_sort per constraint, once, in parallel — CandidatesFor
     // used to redo this sort on every node visit. Filtering these orders
     // by the claimed bitset reproduces a fresh sort of the free subset
@@ -67,7 +70,7 @@ struct SearchContext {
   }
 
   std::vector<Bitset> target_bitmap;
-  std::vector<std::vector<uint32_t>> incidence;
+  RowIncidence incidence;
   std::vector<std::vector<RowId>> sorted_targets;
   std::vector<uint64_t> row_tags;
 };
@@ -259,7 +262,7 @@ class ColoringEngine {
   /// already in trial order with their static facts prepared. The result
   /// is a pure function of (free target set, deficit, headroom) — the
   /// enumeration seed is fixed per node and the least-constraining
-  /// ordering reads only static target bitmaps — so backtracking
+  /// ordering reads only the static incidence — so backtracking
   /// re-visits replay the memo instead of re-enumerating. No engine RNG
   /// is consumed here, which is why the search tree is identical with the
   /// memo on or off.
@@ -305,12 +308,9 @@ class ColoringEngine {
 
     ClusteringEnumOptions enumeration = options_.enumeration;
     enumeration.seed = options_.seed * 1000003ULL + node;
-    std::vector<CandidateClustering> enumerated = EnumerateClusteringsQiSorted(
-        relation_, free_targets, options_.k, deficit, headroom, enumeration);
-    if (options_.strategy != SelectionStrategy::kBasic) {
-      OrderLeastConstrainingFirst(node, &enumerated);
-    }
-    CandidateList candidates = Prepare(std::move(enumerated));
+    CandidateList candidates = Prepare(
+        node, EnumerateClusteringsQiSorted(relation_, free_targets, options_.k,
+                                           deficit, headroom, enumeration));
 
     if (options_.memo) {
       if (memo_entries_ >= options_.memo_capacity) {
@@ -326,82 +326,70 @@ class ColoringEngine {
     return candidates;
   }
 
-  /// Precomputes the static facts of each enumerated candidate (sorted
-  /// rows, fingerprint, sparse contributions) so every later trial — and
-  /// every memo replay — skips straight to the dynamic checks.
-  CandidateList Prepare(std::vector<CandidateClustering>&& enumerated) {
-    auto prepared = std::make_shared<std::vector<PreparedCandidate>>();
-    prepared->reserve(enumerated.size());
+  /// Precomputes the static facts of each enumerated candidate of `node`
+  /// (sorted rows, fingerprint, sparse contributions) so every later
+  /// trial — and every memo replay — skips straight to the dynamic
+  /// checks, and puts the list in trial order.
+  ///
+  /// The selective strategies try the least-constraining candidates
+  /// first: among candidates preserving the same count, the ones that
+  /// WASTE the fewest shared rows. A cluster row that lies in another
+  /// constraint's target set is wasted when the cluster is not uniform on
+  /// that target (the row is claimed but contributes nothing toward the
+  /// other constraint's lower bound). DIVA-Basic keeps its shuffled
+  /// order. One incidence pass per cluster counts its overlap with every
+  /// constraint: a cluster fully inside target j contributes |cluster|
+  /// there (zero waste), any partial overlap is pure waste.
+  CandidateList Prepare(size_t node,
+                        std::vector<CandidateClustering>&& enumerated) {
+    std::vector<PreparedCandidate> prepared;
+    prepared.reserve(enumerated.size());
+    std::vector<std::pair<uint64_t, size_t>> keyed;  // (waste, index)
+    keyed.reserve(enumerated.size());
     for (CandidateClustering& candidate : enumerated) {
       PreparedCandidate out;
       out.preserved = candidate.preserved;
       out.clusters.reserve(candidate.clusters.size());
+      uint64_t waste = 0;
       for (Cluster& cluster : candidate.clusters) {
         PreparedCluster entry;
         entry.rows = std::move(cluster);
         std::sort(entry.rows.begin(), entry.rows.end());
         entry.fingerprint = FingerprintOf(entry.rows);
-        // Per-constraint overlap in one incidence pass; full containment
-        // (|overlap| == |cluster|) is the only way a cluster preserves
-        // occurrences for constraint j.
         std::fill(in_target_scratch_.begin(), in_target_scratch_.end(), 0);
         for (RowId row : entry.rows) {
           for (uint32_t j : context_.incidence[row]) ++in_target_scratch_[j];
         }
         for (size_t j = 0; j < constraints_.size(); ++j) {
-          if (in_target_scratch_[j] == entry.rows.size()) {
-            entry.contrib.emplace_back(static_cast<uint32_t>(j),
-                                       entry.rows.size());
+          const uint64_t in_target = in_target_scratch_[j];
+          if (in_target == entry.rows.size()) {
+            entry.contrib.emplace_back(static_cast<uint32_t>(j), in_target);
+          } else if (j != node) {
+            waste += in_target;
           }
         }
         out.clusters.push_back(std::move(entry));
       }
-      prepared->push_back(std::move(out));
+      keyed.emplace_back(waste, prepared.size());
+      prepared.push_back(std::move(out));
     }
-    return prepared;
-  }
-
-  /// Least-constraining-value ordering for the selective strategies:
-  /// among candidates preserving the same count, try the ones that WASTE
-  /// the fewest shared rows first. A cluster row that lies in another
-  /// constraint's target set is wasted when the cluster is not uniform on
-  /// that target (the row is claimed but contributes nothing toward the
-  /// other constraint's lower bound). (DIVA-Basic keeps its shuffled
-  /// order.) Per-constraint overlap counts come from the incidence lists
-  /// in one pass per cluster; a cluster fully inside target j contributes
-  /// |cluster| there (zero waste), any partial overlap is pure waste.
-  void OrderLeastConstrainingFirst(size_t node,
-                                   std::vector<CandidateClustering>* candidates) {
-    size_t n = constraints_.size();
-    std::vector<std::pair<uint64_t, size_t>> keyed(candidates->size());
-    for (size_t i = 0; i < candidates->size(); ++i) {
-      uint64_t waste = 0;
-      for (const Cluster& cluster : (*candidates)[i].clusters) {
-        std::fill(in_target_scratch_.begin(), in_target_scratch_.end(), 0);
-        for (RowId row : cluster) {
-          for (uint32_t j : context_.incidence[row]) ++in_target_scratch_[j];
-        }
-        for (size_t j = 0; j < n; ++j) {
-          if (j == node) continue;
-          uint64_t in_target = in_target_scratch_[j];
-          if (in_target != cluster.size()) waste += in_target;
-        }
-      }
-      keyed[i] = {waste, i};
+    auto ordered = std::make_shared<std::vector<PreparedCandidate>>();
+    if (options_.strategy == SelectionStrategy::kBasic) {
+      *ordered = std::move(prepared);
+      return ordered;
     }
     std::stable_sort(keyed.begin(), keyed.end(),
                      [&](const auto& a, const auto& b) {
-                       size_t pa = (*candidates)[a.second].preserved;
-                       size_t pb = (*candidates)[b.second].preserved;
+                       size_t pa = prepared[a.second].preserved;
+                       size_t pb = prepared[b.second].preserved;
                        if (pa != pb) return pa < pb;
                        return a.first < b.first;
                      });
-    std::vector<CandidateClustering> ordered;
-    ordered.reserve(candidates->size());
+    ordered->reserve(prepared.size());
     for (const auto& [waste, index] : keyed) {
-      ordered.push_back(std::move((*candidates)[index]));
+      ordered->push_back(std::move(prepared[index]));
     }
-    *candidates = std::move(ordered);
+    return ordered;
   }
 
   /// Checks consistency of `candidate` against the current state and, if
@@ -716,7 +704,7 @@ ColoringOutcome ColorConstraints(const Relation& relation,
                                  const ColoringOptions& options) {
   DIVA_CHECK_MSG(graph.targets.size() == constraints.size(),
                  "graph must be built from the same constraint set");
-  // Bitmaps, QI-sorted target orders, incidence lists, and row tags are
+  // Bitmaps, QI-sorted target orders, the incidence, and row tags are
   // pure functions of (relation, graph): build them once and share across
   // every restart attempt and the greedy pass.
   SearchContext context(relation, graph);

@@ -11,7 +11,12 @@ namespace {
 
 std::string IntervalLabel(int64_t lo, int64_t hi) {
   if (lo == hi) return std::to_string(lo);
-  return "[" + std::to_string(lo) + "-" + std::to_string(hi) + "]";
+  std::string label = "[";
+  label += std::to_string(lo);
+  label += '-';
+  label += std::to_string(hi);
+  label += ']';
+  return label;
 }
 
 }  // namespace

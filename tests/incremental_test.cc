@@ -16,6 +16,7 @@
 #include "common/counters.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "constraint/parser.h"
 #include "core/diva.h"
 #include "core/incremental.h"
@@ -40,11 +41,11 @@ std::shared_ptr<const Schema> ChurnSchema() {
 }
 
 std::vector<std::string> MakeChurnRow(Rng& rng, size_t regions) {
-  return {"r" + std::to_string(rng.NextBounded(regions)),
-          "g" + std::to_string(rng.NextBounded(2 * regions)),
+  return {NumberedLabel("r", rng.NextBounded(regions)),
+          NumberedLabel("g", rng.NextBounded(2 * regions)),
           std::to_string(18 + rng.NextBounded(60)),
-          "j" + std::to_string(rng.NextBounded(8)),
-          "d" + std::to_string(rng.NextBounded(5))};
+          NumberedLabel("j", rng.NextBounded(8)),
+          NumberedLabel("d", rng.NextBounded(5))};
 }
 
 /// One per-region constraint per region: disjoint target sets, so the
@@ -164,7 +165,7 @@ void RunChurnSeed(uint64_t seed) {
       // A never-seen value: grows a dictionary, which must dirty every
       // component (Mondrian scans the global domain) — still identical
       // output, just the cold-cost path.
-      row[3] = "jx" + std::to_string(seed) + "_" + std::to_string(i);
+      row[3] = NumberedLabel("jx", seed) + "_" + std::to_string(i);
     }
     delta.inserted.push_back(std::move(row));
   }
@@ -263,9 +264,9 @@ TEST(IncrementalTest, InsertBridgingTwoComponentsMatchesColdRun) {
   Rng rng(79);
   for (size_t i = 0; i < 60; ++i) {
     bool left = i % 2 == 0;
-    rows.push_back({left ? "r0" : "r1", "g" + std::to_string(i % 6),
+    rows.push_back({left ? "r0" : "r1", NumberedLabel("g", i % 6),
                     std::to_string(20 + rng.NextBounded(50)),
-                    left ? "j1" : "j0", "d" + std::to_string(i % 4)});
+                    left ? "j1" : "j0", NumberedLabel("d", i % 4)});
   }
   auto base = RelationFromRows(schema, rows);
   ASSERT_TRUE(base.ok());

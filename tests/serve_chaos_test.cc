@@ -71,8 +71,8 @@ void Storm(const std::string& host, int port, size_t clients,
         if (!client.ok()) continue;  // refused mid-drain: acceptable
         Request request;
         request.verb = "anonymize";
-        request.params["k"] = "2";
-        request.params["seed"] = std::to_string(w * 31 + r);
+        request.params.emplace("k", "2");
+        request.params.emplace("seed", std::to_string(w * 31 + r));
         if (r % 3 == 0) request.params["deadline_ms"] = "40";
         (void)client->Call(request);
       }

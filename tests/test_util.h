@@ -8,6 +8,7 @@
 
 #include "common/logging.h"
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "constraint/diversity_constraint.h"
 #include "constraint/generator.h"
 #include "constraint/parser.h"
@@ -95,7 +96,7 @@ inline FuzzWorkload MakeWorkload(uint64_t fuzz_seed) {
   size_t num_qi = 2 + static_cast<size_t>(rng.NextBounded(3));
   for (size_t i = 0; i < num_qi; ++i) {
     AttributeSpec attr;
-    attr.name = "Q" + std::to_string(i);
+    attr.name = NumberedLabel("Q", i);
     attr.domain_size = 2 + static_cast<size_t>(rng.NextBounded(9));
     attr.distribution = static_cast<ValueDistribution>(rng.NextBounded(3));
     attr.zipf_skew = 0.5 + rng.UniformDouble();
