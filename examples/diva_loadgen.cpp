@@ -21,8 +21,10 @@
 //
 // The JSON report maps each scenario to flat metrics. Deterministic,
 // CI-gated keys: requests, unaccounted (= requests that ended in no
-// terminal outcome, always 0), leaked_inflight (server in-flight after
-// Stop, always 0), unaudited_snapshots (always 0), protocol_errors.
+// terminal outcome, always 0), failed (requests answered with a
+// non-retryable error, always 0: a degraded response is still ok),
+// leaked_inflight (server in-flight after Stop, always 0),
+// unaudited_snapshots (always 0), protocol_errors.
 // exec_-prefixed keys (shed counts, retries, budget denials) vary with
 // scheduling and are never gated; *_ms / *_per_sec keys are timing,
 // among them server_<stage>_ms, the in-process server's mean time per
@@ -317,6 +319,7 @@ void AppendJson(std::string* out, const ScenarioResult& result) {
   // Deterministic, CI-gated invariants.
   add("requests", static_cast<double>(offered), true);
   add("unaccounted", static_cast<double>(offered - settled), true);
+  add("failed", static_cast<double>(t.failed), true);
   if (result.have_server_side) {
     add("leaked_inflight", static_cast<double>(result.leaked_inflight), true);
     add("unaudited_snapshots", static_cast<double>(result.unaudited_snapshots),
@@ -327,7 +330,6 @@ void AppendJson(std::string* out, const ScenarioResult& result) {
   // Scheduling-dependent (never gated).
   add("exec_ok", static_cast<double>(t.ok), true);
   add("exec_gave_up", static_cast<double>(t.gave_up), true);
-  add("exec_failed", static_cast<double>(t.failed), true);
   add("exec_retries", static_cast<double>(t.retries), true);
   add("exec_budget_denied", static_cast<double>(t.budget_denied), true);
   add("exec_degraded", static_cast<double>(t.degraded), true);
@@ -512,6 +514,7 @@ int main(int argc, char** argv) {
         result.config.clients * result.config.requests_per_client;
     const WorkerTally& t = result.tally;
     if (t.ok + t.gave_up + t.failed != offered) invariants_ok = false;
+    if (t.failed != 0) invariants_ok = false;
     if (result.leaked_inflight != 0) invariants_ok = false;
     if (result.unaudited_snapshots != 0) invariants_ok = false;
   }
@@ -533,8 +536,8 @@ int main(int argc, char** argv) {
   }
 
   if (!invariants_ok) {
-    return Fail("invariant violation (unaccounted requests, leaked "
-                "in-flight work, or unaudited snapshots)");
+    return Fail("invariant violation (unaccounted or failed requests, "
+                "leaked in-flight work, or unaudited snapshots)");
   }
   return 0;
 }

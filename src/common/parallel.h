@@ -2,11 +2,10 @@
 #define DIVA_COMMON_PARALLEL_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <utility>
 #include <vector>
-
-#include "common/deadline.h"
 
 namespace diva {
 
@@ -62,17 +61,10 @@ class ThreadPool {
   /// already running a loop on this pool, the call degrades to inline
   /// sequential execution of the same chunks.
   ///
-  /// Cancellation (see ScopedLoopCancellation): when the installed token
-  /// trips mid-loop, threads stop CLAIMING chunks — chunks already
-  /// claimed drain normally. Chunks are claimed in ascending index
-  /// order, so the completed work is always the prefix [0, R) of the
-  /// index space, where R is the returned value; gathering the finished
-  /// prefix by index stays deterministic. Without a token (or when it
-  /// never trips) the return value is always `count`. Callers that
-  /// install a token MUST consult the return value (or re-poll the
-  /// token) before trusting gathered results past the prefix.
-  size_t ParallelFor(size_t count, size_t grain,
-                     const std::function<void(size_t, size_t)>& body);
+  /// A loop is never cut short by a deadline: it runs every chunk. Work
+  /// that must stop early polls its own CancellationToken inside `body`.
+  void ParallelFor(size_t count, size_t grain,
+                   const std::function<void(size_t, size_t)>& body);
 
  private:
   struct Impl;
@@ -92,10 +84,9 @@ size_t ParallelThreads();
 /// the old pool, which is reclaimed when its last user releases it.
 void SetParallelThreads(size_t threads);
 
-/// ParallelFor on the global pool. Returns the completed index prefix
-/// (always `count` unless an installed cancellation token tripped).
-size_t ParallelFor(size_t count, size_t grain,
-                   const std::function<void(size_t, size_t)>& body);
+/// ParallelFor on the global pool.
+void ParallelFor(size_t count, size_t grain,
+                 const std::function<void(size_t, size_t)>& body);
 
 /// A small pool of dedicated threads executing submitted closures with
 /// DETERMINISTIC CLAIM ORDERING: pending items are claimed strictly in
@@ -136,28 +127,6 @@ class TaskGroup {
   struct Impl;
   Impl* impl_;
 };
-
-/// Installs `token` as the cancellation signal every ParallelFor call
-/// observes until the scope exits (the previous token is restored —
-/// scopes nest). Process-global like SetParallelThreads:
-/// intended for the one pipeline driver (RunDiva) that owns the run.
-/// A tripped token makes loops stop claiming work; it never corrupts
-/// completed chunks — see ThreadPool::ParallelFor. Install it only
-/// around phases whose drivers tolerate a truncated prefix of results.
-class ScopedLoopCancellation {
- public:
-  explicit ScopedLoopCancellation(CancellationToken token);
-  ~ScopedLoopCancellation();
-
-  ScopedLoopCancellation(const ScopedLoopCancellation&) = delete;
-  ScopedLoopCancellation& operator=(const ScopedLoopCancellation&) = delete;
-
- private:
-  CancellationToken previous_;
-};
-
-/// The currently installed loop-cancellation token (null when none).
-CancellationToken CurrentLoopCancellation();
 
 /// Applies fn(i) to every i in [0, count), gathering results by index —
 /// the output vector is identical for every thread count.

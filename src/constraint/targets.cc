@@ -9,15 +9,11 @@ namespace diva {
 
 namespace {
 
-/// Runs body(k) for every chunk k in [0, chunks) on the global pool. A
-/// tripped loop-cancellation token only truncates the pool loop to a
-/// prefix; the rest runs inline, so callers always see every chunk.
+/// Runs body(k) for every chunk k in [0, chunks) on the global pool.
 void ForEachChunk(size_t chunks, const std::function<void(size_t)>& body) {
-  const size_t done =
-      ParallelFor(chunks, /*grain=*/1, [&](size_t begin, size_t end) {
-        for (size_t k = begin; k < end; ++k) body(k);
-      });
-  for (size_t k = done; k < chunks; ++k) body(k);
+  ParallelFor(chunks, /*grain=*/1, [&](size_t begin, size_t end) {
+    for (size_t k = begin; k < end; ++k) body(k);
+  });
 }
 
 /// The constraints of a set, resolved once and bucketed by (first

@@ -193,7 +193,8 @@ std::vector<CandidateClustering> EnumerateClusteringsWithBounds(
   std::vector<RowId> sorted = SortByQiSimilarity(relation, free_targets);
   DIVA_COUNTER_ADD("coloring.target_sorts", 1);
   return EnumerateClusteringsQiSorted(relation, sorted, k, min_preserve,
-                                      max_preserve, options);
+                                      max_preserve, options,
+                                      CancellationToken());
 }
 
 bool EnumerationIsTriviallyEmpty(size_t free_targets, size_t k,
@@ -207,7 +208,7 @@ bool EnumerationIsTriviallyEmpty(size_t free_targets, size_t k,
 std::vector<CandidateClustering> EnumerateClusteringsQiSorted(
     const Relation& relation, const std::vector<RowId>& sorted_free_targets,
     size_t k, size_t min_preserve, size_t max_preserve,
-    const ClusteringEnumOptions& options) {
+    const ClusteringEnumOptions& options, const CancellationToken& cancel) {
   DIVA_TRACE_SPAN("clusterings/enumerate");
   std::vector<CandidateClustering> out;
   if (EnumerationIsTriviallyEmpty(sorted_free_targets.size(), k,
@@ -236,7 +237,7 @@ std::vector<CandidateClustering> EnumerateClusteringsQiSorted(
   }
 
   for (size_t m : preserved_values) {
-    if (out.size() >= options.max_clusterings) break;
+    if (out.size() >= options.max_clusterings || cancel.Cancelled()) break;
 
     // Describe this m's work as independent jobs, sequentially and in
     // the exact emission order; every RNG draw happens here, up front,
@@ -304,7 +305,9 @@ std::vector<CandidateClustering> EnumerateClusteringsQiSorted(
     // the candidate order byte-identical for every thread count.
     std::vector<std::vector<CandidateClustering>> produced =
         ParallelMap<std::vector<CandidateClustering>>(
-            jobs.size(), /*grain=*/1, [&](size_t i) {
+            jobs.size(), /*grain=*/1,
+            [&](size_t i) -> std::vector<CandidateClustering> {
+              if (cancel.Cancelled()) return {};
               return RunEnumerationJob(relation, sorted, std::move(jobs[i]),
                                        k, options);
             });

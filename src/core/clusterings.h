@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "anon/cluster.h"
+#include "common/deadline.h"
 #include "common/result.h"
 #include "constraint/diversity_constraint.h"
 #include "relation/relation.h"
@@ -93,11 +94,13 @@ bool EnumerationIsTriviallyEmpty(size_t free_targets, size_t k,
 /// already be in SortByQiSimilarity order. Skips the per-call
 /// stable_sort — the coloring engine computes each constraint's full
 /// target order once at construction and filters it by the claimed-row
-/// bitset, so enumeration never re-sorts.
+/// bitset, so enumeration never re-sorts. Once `cancel` trips, the
+/// remaining subset jobs are skipped and the candidates found so far are
+/// returned: the search that passed its deadline stops at its next step.
 std::vector<CandidateClustering> EnumerateClusteringsQiSorted(
     const Relation& relation, const std::vector<RowId>& sorted_free_targets,
     size_t k, size_t min_preserve, size_t max_preserve,
-    const ClusteringEnumOptions& options);
+    const ClusteringEnumOptions& options, const CancellationToken& cancel);
 
 }  // namespace diva
 

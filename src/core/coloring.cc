@@ -310,7 +310,8 @@ class ColoringEngine {
     enumeration.seed = options_.seed * 1000003ULL + node;
     CandidateList candidates = Prepare(
         node, EnumerateClusteringsQiSorted(relation_, free_targets, options_.k,
-                                           deficit, headroom, enumeration));
+                                           deficit, headroom, enumeration,
+                                           options_.deadline));
 
     if (options_.memo) {
       if (memo_entries_ >= options_.memo_capacity) {

@@ -172,10 +172,6 @@ Status BuildShardedBaseline(const Relation& relation, const Bitset& covered,
       MakeBaselineAnonymizer(baseline_options);
 
   auto build_local = [&](const std::vector<RowId>& rows) -> Result<Clustering> {
-    // The iterative baselines discard their half-built state on expiry,
-    // so truncated inner scans cannot leak into the output; installing
-    // the loop token just makes them stop sooner.
-    ScopedLoopCancellation loop_cancel(token);
     Relation sub = relation.SelectRows(rows);
     std::vector<RowId> local(rows.size());
     for (size_t i = 0; i < local.size(); ++i) local[i] = static_cast<RowId>(i);
@@ -368,11 +364,6 @@ Result<DivaResult> RunDivaPipeline(const Relation& relation,
     DIVA_COUNTER_ADD("shard.max_rows", plan->MaxShardRows());
     DIVA_COUNTER_ADD("shard.residual_rows", plan->residual_rows);
 
-    // The search tolerates truncated candidate enumeration (it just sees
-    // fewer candidates), so the pool-level token is installed for this
-    // phase: when the deadline trips, enumeration loops stop claiming
-    // chunks instead of finishing a doomed sweep.
-    ScopedLoopCancellation loop_cancel(token);
     if (plan->Effective()) {
       // >= 2 independent components: the plan drives the search; the
       // thread width only decides where the shards run. Shards
@@ -414,8 +405,6 @@ Result<DivaResult> RunDivaPipeline(const Relation& relation,
   report.sigma_rows = TotalRows(sigma_clusters);
 
   // Phase 2: Suppress (or generalize) S_Sigma inside a working copy of R.
-  // Never run under the loop token: a truncated suppression would publish
-  // rows that are not unanimous with their QI-group.
   if (options.generalization != nullptr &&
       options.generalization->num_attributes() != relation.NumAttributes()) {
     return Status::InvalidArgument(
@@ -464,13 +453,8 @@ Result<DivaResult> RunDivaPipeline(const Relation& relation,
       baseline_options.anonymizer.cancel = token;
       std::unique_ptr<Anonymizer> baseline =
           MakeBaselineAnonymizer(baseline_options);
-      // The iterative baselines discard their half-built state on expiry,
-      // so truncated inner scans cannot leak into the output; installing
-      // the loop token just makes them stop sooner.
-      Result<Clustering> built = [&]() -> Result<Clustering> {
-        ScopedLoopCancellation loop_cancel(token);
-        return baseline->BuildClusters(relation, remaining, options.k);
-      }();
+      Result<Clustering> built =
+          baseline->BuildClusters(relation, remaining, options.k);
       if (!built.ok() &&
           built.status().code() == StatusCode::kDeadlineExceeded) {
         if (options.strict) return built.status();

@@ -115,88 +115,15 @@ TEST(EnvDeadlineTest, ParsesTheKnob) {
   EXPECT_EQ(EnvDeadlineMillis(), 0);
 }
 
-// ------------------------------------------- pool-level cancellation
+// ------------------------------------------ pool loops run every chunk
 
 TEST(PoolCancellationTest, WithoutTokenParallelForCompletesEverything) {
   SetParallelThreads(4);
   std::vector<char> done(1000, 0);
-  size_t prefix = ParallelFor(1000, 8, [&](size_t begin, size_t end) {
+  ParallelFor(1000, 8, [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) done[i] = 1;
   });
-  EXPECT_EQ(prefix, 1000u);
   for (size_t i = 0; i < done.size(); ++i) EXPECT_EQ(done[i], 1) << i;
-}
-
-TEST(PoolCancellationTest, PreTrippedTokenRunsNoChunks) {
-  SetParallelThreads(4);
-  CancellationToken token = CancellationToken::Manual();
-  token.RequestCancel();
-  ScopedLoopCancellation scope(token);
-  std::atomic<size_t> ran{0};
-  size_t prefix = ParallelFor(1000, 8, [&](size_t begin, size_t end) {
-    ran.fetch_add(end - begin, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(prefix, 0u);
-  EXPECT_EQ(ran.load(), 0u);
-}
-
-TEST(PoolCancellationTest, SequentialCancelStopsAtAnExactPrefix) {
-  SetParallelThreads(1);
-  CancellationToken token = CancellationToken::Manual();
-  ScopedLoopCancellation scope(token);
-  std::vector<char> executed(256, 0);
-  size_t prefix = ParallelFor(256, 1, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      executed[i] = 1;
-      if (i == 64) token.RequestCancel();
-    }
-  });
-  // Width 1 runs chunks in index order, so the prefix is exact: the
-  // cancelling chunk finishes, nothing after it starts.
-  EXPECT_EQ(prefix, 65u);
-  for (size_t i = 0; i < executed.size(); ++i) {
-    EXPECT_EQ(executed[i] != 0, i < prefix) << i;
-  }
-}
-
-TEST(PoolCancellationTest, ParallelCancelCompletesExactlyThePrefix) {
-  SetParallelThreads(4);
-  CancellationToken token = CancellationToken::Manual();
-  ScopedLoopCancellation scope(token);
-  std::vector<char> executed(4096, 0);
-  size_t prefix = ParallelFor(4096, 1, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      executed[i] = 1;
-      if (i == 64) token.RequestCancel();
-    }
-  });
-  // Chunks are claimed in ascending order and claimed chunks drain, so
-  // the completed work is the prefix [0, prefix): the cancelling index
-  // is inside it, the tail was never claimed, and no index outside the
-  // prefix ran.
-  EXPECT_GE(prefix, 65u);
-  EXPECT_LT(prefix, 4096u);
-  for (size_t i = 0; i < executed.size(); ++i) {
-    EXPECT_EQ(executed[i] != 0, i < prefix) << i;
-  }
-}
-
-TEST(PoolCancellationTest, ScopedInstallationNestsAndRestores) {
-  EXPECT_FALSE(CurrentLoopCancellation().CanBeCancelled());
-  CancellationToken outer = CancellationToken::Manual();
-  {
-    ScopedLoopCancellation outer_scope(outer);
-    EXPECT_TRUE(CurrentLoopCancellation().CanBeCancelled());
-    outer.RequestCancel();
-    EXPECT_TRUE(CurrentLoopCancellation().Cancelled())
-        << "the installed token is the caller's token, not a copy signal";
-    {
-      ScopedLoopCancellation inner_scope{CancellationToken()};
-      EXPECT_FALSE(CurrentLoopCancellation().CanBeCancelled());
-    }
-    EXPECT_TRUE(CurrentLoopCancellation().Cancelled());
-  }
-  EXPECT_FALSE(CurrentLoopCancellation().CanBeCancelled());
 }
 
 // --------------------------------------- coloring budget exhaustion
@@ -302,6 +229,61 @@ TEST(DivaDeadlineTest, StrictModeTurnsExpiryIntoAnError) {
   auto result = RunDiva(relation, constraints, options);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+}
+
+TEST(DivaDeadlineTest, ConcurrentDeadlinedRunsLeaveLaterRunsIntact) {
+  // A deadline belongs to its own run. Two threads run many deadlined
+  // pipelines at once (as serve sessions do); once every deadline has
+  // passed, a run without one must still publish audited output, and so
+  // must every deadlined run, degraded or not.
+  ProfileOptions profile_options;
+  profile_options.num_rows = 600;
+  auto relation = GenerateProfile(DatasetProfile::kPopSyn, profile_options);
+  ASSERT_TRUE(relation.ok()) << relation.status().ToString();
+  auto constraints = DefaultConstraints(DatasetProfile::kPopSyn, *relation);
+  ASSERT_TRUE(constraints.ok()) << constraints.status().ToString();
+
+  DivaOptions options;
+  options.k = 5;
+  options.baseline = BaselineAlgorithm::kMondrian;
+  options.audit = true;
+  options.deadline_ms = 200;
+
+  constexpr size_t kThreads = 2;
+  constexpr int kRunsPerThread = 60;
+  std::atomic<size_t> ready{0};
+  std::atomic<int> failed{0};
+  std::atomic<int> unaudited{0};
+  TaskGroup runners(kThreads);
+  std::vector<uint64_t> tickets;
+  for (size_t t = 0; t < kThreads; ++t) {
+    tickets.push_back(runners.Submit([&] {
+      // Start both threads together so their runs overlap from the first.
+      ready.fetch_add(1, std::memory_order_acq_rel);
+      while (ready.load(std::memory_order_acquire) < kThreads) {
+      }
+      for (int run = 0; run < kRunsPerThread; ++run) {
+        auto result = RunDiva(*relation, *constraints, options);
+        if (!result.ok()) {
+          failed.fetch_add(1, std::memory_order_relaxed);
+        } else if (!result->report.audited) {
+          unaudited.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    }));
+  }
+  for (uint64_t ticket : tickets) runners.Wait(ticket);
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_EQ(unaudited.load(), 0);
+
+  // Every deadline above has expired by now.
+  SpinFor(0.3);
+  options.deadline_ms = 0;
+  auto later = RunDiva(*relation, *constraints, options);
+  ASSERT_TRUE(later.ok()) << later.status().ToString();
+  EXPECT_TRUE(later->report.audited);
+  EXPECT_FALSE(later->report.deadline_exceeded);
+  EXPECT_TRUE(IsKAnonymous(later->relation, options.k));
 }
 
 }  // namespace

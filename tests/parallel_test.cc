@@ -7,10 +7,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
-
-#include "common/deadline.h"
 
 namespace diva {
 namespace {
@@ -254,43 +251,6 @@ TEST(ParallelTest, TasksMayUseTheDataParallelLayer) {
     for (uint64_t ticket : tickets) group.Wait(ticket);
   }
   for (size_t sum : sums) EXPECT_EQ(sum, 1000u * 999u / 2);
-  SetParallelThreads(1);
-}
-
-TEST(PoolCancellationTest, ExternalCancelDuringClaimKeepsPrefixExact) {
-  // Regression guard for the cancel-during-claim window: a cancel that
-  // lands while workers are actively claiming chunks must still leave
-  // exactly the completed prefix [0, prefix) executed — CancelUnclaimed
-  // exchanges the claim cursor, so a chunk is either fully run (it was
-  // claimed before the exchange) or never started. The canceller is an
-  // asynchronous external thread so the request races the fetch_add
-  // claims themselves, not just the body's poll points.
-  SetParallelThreads(4);
-  for (int iteration = 0; iteration < 20; ++iteration) {
-    CancellationToken token = CancellationToken::Manual();
-    ScopedLoopCancellation scope(token);
-    std::vector<std::atomic<int>> executed(4096);
-    std::atomic<bool> body_started{false};
-    // The cancel must come from outside the loop to hit the claim race.
-    // lint: allow-thread
-    std::thread canceller([&] {
-      while (!body_started.load(std::memory_order_acquire)) {
-      }
-      token.RequestCancel();
-    });
-    size_t prefix = ParallelFor(4096, 1, [&](size_t begin, size_t end) {
-      body_started.store(true, std::memory_order_release);
-      for (size_t i = begin; i < end; ++i) {
-        executed[i].store(1, std::memory_order_relaxed);
-      }
-    });
-    canceller.join();
-    ASSERT_LE(prefix, executed.size());
-    for (size_t i = 0; i < executed.size(); ++i) {
-      ASSERT_EQ(executed[i].load(std::memory_order_relaxed) != 0, i < prefix)
-          << "iteration " << iteration << " index " << i;
-    }
-  }
   SetParallelThreads(1);
 }
 

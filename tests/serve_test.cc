@@ -4,13 +4,14 @@
 // a loopback socket — including the deadline edge cases: a 0 ms deadline
 // admitted on an idle server still yields an audited degraded response,
 // and a wedged request tripped by the watchdog degrades instead of
-// hanging. The transport tests pin the one-write-per-frame rule: a
+// hanging, and concurrent deadlined requests leave later ones intact. The transport tests pin the one-write-per-frame rule: a
 // loopback round trip stays far below the 40 ms delayed-ACK stall, and a
 // frame survives partial writes intact. Fault-injection sweeps live in
 // serve_chaos_test.cc; the seeded wire-input fuzz loop lives in
 // serve_fuzz_test.cc.
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -26,6 +27,7 @@
 #include "common/status.h"
 #include "common/timer.h"
 #include "core/incremental.h"
+#include "datagen/profiles.h"
 #include "gtest/gtest.h"
 #include "serve/admission.h"
 #include "serve/client.h"
@@ -761,6 +763,84 @@ TEST(ServeServerTest, WatchdogTripsWedgedRequestIntoAuditedDegradation) {
   EXPECT_EQ(server.inflight(), 0u);
   EXPECT_EQ(stats.requests + stats.protocol_errors,
             stats.responses + stats.response_failures);
+}
+
+TEST(ServeServerTest, ConcurrentDeadlinedAnonymizeLeavesLaterRequestsIntact) {
+  // A deadline belongs to its own request. Two clients keep both
+  // sessions busy with deadlined anonymize requests; once every deadline
+  // has passed, an anonymize without one and a verify of its snapshot
+  // must still succeed.
+  ProfileOptions profile_options;
+  profile_options.num_rows = 600;
+  auto relation = GenerateProfile(DatasetProfile::kPopSyn, profile_options);
+  ASSERT_TRUE(relation.ok()) << relation.status().ToString();
+  auto constraints = DefaultConstraints(DatasetProfile::kPopSyn, *relation);
+  ASSERT_TRUE(constraints.ok()) << constraints.status().ToString();
+  Server server(*relation, *constraints, TestOptions());
+  ASSERT_TRUE(server.Start().ok());
+
+  constexpr size_t kClients = 2;
+  constexpr int kRequestsPerClient = 40;
+  std::atomic<size_t> ready{0};
+  std::atomic<int> failed{0};
+  TaskGroup clients(kClients);
+  std::vector<uint64_t> tickets;
+  for (size_t c = 0; c < kClients; ++c) {
+    tickets.push_back(clients.Submit([&] {
+      auto client = Client::Connect("127.0.0.1", server.port());
+      // Start both clients together so their requests overlap.
+      ready.fetch_add(1, std::memory_order_acq_rel);
+      while (ready.load(std::memory_order_acquire) < kClients) {
+      }
+      if (!client.ok()) {
+        failed.fetch_add(1, std::memory_order_relaxed);
+        return;
+      }
+      for (int r = 0; r < kRequestsPerClient; ++r) {
+        Request anonymize;
+        anonymize.verb = "anonymize";
+        anonymize.params.emplace("k", "5");
+        anonymize.params.emplace("baseline", "mondrian");
+        anonymize.params.emplace("deadline_ms", "200");
+        auto response = client->Call(anonymize);
+        // Admission may shed a request; anything else must be audited.
+        const bool good =
+            response.ok() &&
+            (response->ok ? response->Field("audited", "0") == "1"
+                          : response->code == StatusCode::kUnavailable);
+        if (!good) failed.fetch_add(1, std::memory_order_relaxed);
+      }
+    }));
+  }
+  for (uint64_t ticket : tickets) clients.Wait(ticket);
+  EXPECT_EQ(failed.load(), 0);
+
+  // Every deadline above has expired by now.
+  const double start = MonotonicSeconds();
+  while (MonotonicSeconds() - start < 0.3) {
+  }
+  auto client = Client::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  Request anonymize;
+  anonymize.verb = "anonymize";
+  anonymize.params.emplace("k", "5");
+  anonymize.params.emplace("baseline", "mondrian");
+  auto published = client->Call(anonymize);
+  ASSERT_TRUE(published.ok()) << published.status().ToString();
+  ASSERT_TRUE(published->ok) << published->ToStatus().ToString();
+  EXPECT_EQ(published->Field("audited", "0"), "1");
+  EXPECT_EQ(published->Field("degraded", "0"), "0");
+
+  Request verify;
+  verify.verb = "verify";
+  verify.params.emplace("snapshot", published->Field("snapshot", ""));
+  auto verdict = client->Call(verify);
+  ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
+  ASSERT_TRUE(verdict->ok) << verdict->ToStatus().ToString();
+  EXPECT_EQ(verdict->Field("verdict", ""), "pass");
+
+  server.Stop();
+  EXPECT_EQ(server.inflight(), 0u);
 }
 
 TEST(ServeServerTest, DrainRefusesNewWorkAndStopIsIdempotent) {
